@@ -1,6 +1,6 @@
 """Benchmark of the stirapgates library and CLI, end to end and per layer.
 
-    python3 perfbench/run.py --workload gate_single --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload gate_single --seed 1 --seconds 40 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 One process, one caller, closed loop: each operation is an in-process call
@@ -24,9 +24,11 @@ run fails without it.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -51,7 +53,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "_out"
 SETUP_REPEATS = 9
-WORKLOAD_NAMES = ("gate_single", "gate_pair", "trajectory_dense", "phase_predict")
+WORKLOAD_NAMES = ("gate_single", "gate_pair", "dense_predict")
 
 SPEC = ROOT / "BENCHMARK.json"
 # Units of the metrics that are printed but not in BENCHMARK.json: they are
@@ -59,6 +61,7 @@ SPEC = ROOT / "BENCHMARK.json"
 PRINTED_UNITS = {
     "op_count": "count",
     "cycles": "count",
+    "op_s.p50": "s",
     "op_s.p90": "s",
     "oracle_err_max": "abs",
     "failed_frac": "frac",
@@ -101,6 +104,9 @@ class Runner:
     def _run(self, op, tracer) -> tuple[float, int]:
         self.attempted += 1
         problems: list[str] = []
+        # Collect what earlier operations left in reference cycles, so that no
+        # operation pays for collecting another's garbage.
+        gc.collect()
         sink = io.StringIO()
         rc = None
         t0 = perf_counter()
@@ -164,8 +170,10 @@ class SetupProbe:
             [{"config": op.config_path, "overrides": op.assignments} for op in ops]
         ))
         self.samples: list[float] = []
+        self.walls: list[float] = []
 
     def run(self) -> None:
+        t0 = perf_counter()
         proc = subprocess.run(
             [sys.executable, str(HERE / "setup_probe.py"), str(SRC), str(self.spec)],
             capture_output=True, text=True, timeout=120, check=False,
@@ -173,37 +181,61 @@ class SetupProbe:
         if proc.returncode != 0:
             raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()[-500:]}")
         self.samples.append(float(proc.stdout.strip().splitlines()[-1]))
+        self.walls.append(perf_counter() - t0)
+
+    def left(self) -> int:
+        return SETUP_REPEATS - len(self.samples)
 
 
-def _until(seconds: float, step) -> None:
+def _until(seconds: float, step, reserve=lambda: 0.0) -> None:
+    """Call ``step`` until ``seconds`` have passed.
+
+    No call starts that would, at the median length of the calls so far,
+    end past ``seconds`` with ``reserve()`` seconds still to spend after it.
+    The first call always runs.
+    """
     start = perf_counter()
+    spent: list[float] = []
     while True:
+        t0 = perf_counter()
         step()
-        if perf_counter() - start >= seconds:
+        spent.append(perf_counter() - t0)
+        left = seconds - (perf_counter() - start)
+        if statistics.median(spent) + reserve() > left:
             return
 
 
 def run_untraced(ops, runner, seconds: float, workdir: Path) -> dict[str, float]:
-    # Set-up probes go between cycles, so that their median spans the run
-    # and not only the load on the machine during its first seconds.
+    # Set-up probes are spread over the run, so that their median spans it
+    # and not only the load on the machine during its first seconds. They
+    # count towards ``seconds``.
     probe = SetupProbe(ops, workdir)
     cycles: list[float] = []
-    spent = 0.0
-    while spent < seconds:
-        if len(probe.samples) < SETUP_REPEATS:
+    peak_mb: list[float] = []
+    start = perf_counter()
+
+    def step() -> None:
+        due = max(1, math.ceil(SETUP_REPEATS * (perf_counter() - start) / seconds))
+        while probe.left() > 0 and len(probe.samples) < due:
             probe.run()
-        t0 = perf_counter()
         cycles.append(runner.cycle()[0])
-        spent += perf_counter() - t0
-    while len(probe.samples) < SETUP_REPEATS:
+        if not peak_mb:
+            # High-water mark of the first cycle. Later cycles start from a
+            # heap that the allocator kept fragmented, and the mark then
+            # moves by seed with no change in the program's demand.
+            peak_mb.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+
+    _until(seconds, step, lambda: probe.left() * statistics.median(probe.walls))
+    while probe.left() > 0:
         probe.run()
     ops_s = runner.op_seconds
+    print("cycle_s " + " ".join(f"{c:.4f}" for c in cycles))
     out = {
         "setup_s": statistics.median(probe.samples),
         "wall_s": statistics.median(cycles),
         "ops_per_s": len(ops_s) / sum(ops_s),
         "op_s.p50": statistics.median(ops_s),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_mb[0],
         "op_count": float(len(ops_s)),
         "cycles": float(len(cycles)),
         "oracle_err_max": runner.oracle_err,
@@ -392,7 +424,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES + ("all",))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not args.seconds > 0:

@@ -34,6 +34,15 @@ QUAD_CLOSED_TOL = 2e-4      # criterion 2: quadrature against closed form
 EXACT_TOL = 1e-9            # closed-form identities
 POPULATION_MIN = 0.999      # criterion 1: population back in q
 
+# Ladder tolerance of the gate workloads. The shipped configs ask for 1e-6,
+# which takes 4-5 rungs and 5-13 s per gate: a run then holds one or two
+# cycles and its figures follow the load on the host during those seconds.
+# At 1e-4 a gate takes 2-3 rungs and 1-3 s. The accepted rung is the same
+# for every seed: the last ladder distance is 1.8-5x below the tolerance and
+# the one before it 3-8x above. Every oracle still holds with margin:
+# fidelity >= 0.99995 and phase errors <= 2e-4.
+GATE_TOLERANCE = 1e-4
+
 
 @dataclass
 class Op:
@@ -214,7 +223,7 @@ def gate_single(rng: random.Random) -> list[Op]:
         "phase_gate", "gate",
         {"system": {"kind": "lambda"}, "schedule": schedule,
          "gate": {"kind": "phase", "target_phase": -0.5 * math.pi, "peak_rabi": 300.0},
-         "grid": {"tolerance": 1e-6}},
+         "grid": {"tolerance": GATE_TOLERANCE}},
         {**_time_origin(rng), "gate.target_phase": target},
         _check_phase_gate(target),
     )
@@ -222,7 +231,7 @@ def gate_single(rng: random.Random) -> list[Op]:
         "hadamard", "gate",
         {"system": {"kind": "tripod"}, "schedule": schedule,
          "gate": {"kind": "hadamard", "peak_rabi": 300.0},
-         "grid": {"tolerance": 1e-6}},
+         "grid": {"tolerance": GATE_TOLERANCE}},
         _time_origin(rng),
         _check_hadamard,
     )
@@ -246,7 +255,7 @@ def gate_pair(rng: random.Random) -> list[Op]:
              "schedule": {"tau": 2.0, "pulse_delay": 0.8, "sequence_delay": 8.0},
              "gate": {"kind": "controlled_phase", "target_phase": -0.5 * math.pi,
                       "peak_rabi": 160.0},
-             "grid": {"tolerance": 1e-6}},
+             "grid": {"tolerance": GATE_TOLERANCE}},
             {**_time_origin(rng), "system.interaction_shift": _jit(rng, 0.05, 0.02),
              "gate.target_phase": target},
             _check_controlled_phase(target),
@@ -333,11 +342,20 @@ def phase_predict(rng: random.Random) -> list[Op]:
     return ops
 
 
+def dense_predict(rng: random.Random) -> list[Op]:
+    """Dense trajectories, then phase predictions: the uses that bypass ``gates``.
+
+    They share a workload so that each workload's runs are long enough to
+    average over the host's slow and fast periods within the benchmark's
+    time limit; the trace still tells the two apart by module.
+    """
+    return trajectory_dense(rng) + phase_predict(rng)
+
+
 WORKLOADS: dict[str, Callable[[random.Random], list[Op]]] = {
     "gate_single": gate_single,
     "gate_pair": gate_pair,
-    "trajectory_dense": trajectory_dense,
-    "phase_predict": phase_predict,
+    "dense_predict": dense_predict,
 }
 
 
