@@ -39,7 +39,7 @@ from .geomphase import (
     two_qubit_phase,
     wz_propagate,
 )
-from .propagator import IntegrationQualityError, TimeGrid, converge, propagate
+from .propagator import IntegrationQualityError, TimeGrid, converge_many, propagate_many
 from .pulses import DriveField, PhaseRamp, StirapSchedule, build_schedule
 from .qcore import basis_state
 from .systems import (
@@ -141,15 +141,18 @@ def _reject_extras(mapping: dict, path: str) -> None:
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, str):
-        # YAML 1.1 leaves exponent forms like 1e-6 as strings; accept them
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # YAML 1.1 leaves exponent forms like 1e-6 as strings; accept them
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_optional_float(value, path: str) -> float | None:
@@ -157,6 +160,9 @@ def _as_optional_float(value, path: str) -> float | None:
 
 
 def _as_int(value, path: str) -> int:
+    # sweep axes come from np.linspace, so an integral float counts as integer
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
@@ -446,17 +452,19 @@ def _build_schedule(cfg: ScheduleConfig) -> StirapSchedule:
         raise ConfigError(f"schedule: {exc}") from exc
 
 
+def _build_ramp(drive: DriveConfig) -> PhaseRamp:
+    if drive.phase_slope == 0.0:
+        return PhaseRamp(kind="constant", offset=drive.phase_offset)
+    return PhaseRamp(kind="linear", offset=drive.phase_offset, slope=drive.phase_slope)
+
+
 def _build_field(schedule: StirapSchedule, drive: DriveConfig, index: int) -> DriveField:
     if drive.role == "pump":
         envelopes = schedule.pump_envelopes(drive.peak_rabi)
     else:
         envelopes = schedule.stokes_envelopes(drive.peak_rabi)
-    if drive.phase_slope == 0.0:
-        ramp = PhaseRamp(kind="constant", offset=drive.phase_offset)
-    else:
-        ramp = PhaseRamp(kind="linear", offset=drive.phase_offset, slope=drive.phase_slope)
     try:
-        return DriveField(level=drive.level, envelopes=envelopes, phase=ramp)
+        return DriveField(level=drive.level, envelopes=envelopes, phase=_build_ramp(drive))
     except ValueError as exc:
         raise ConfigError(f"drives.{index}: {exc}") from exc
 
@@ -517,10 +525,8 @@ def _run_trajectory(cfg: ExperimentConfig):
     state = basis_state(labels, initial)
     grid = _build_grid(cfg, schedule)
     if cfg.grid.tolerance is None:
-        traj = propagate(model, state, grid)
-        report = None
-    else:
-        traj, report = converge(model, state, grid, tolerance=cfg.grid.tolerance)
+        return propagate_many(model, [state], grid)[0], None
+    (traj,), report = converge_many(model, [state], grid, tolerance=cfg.grid.tolerance)
     return traj, report
 
 
@@ -844,12 +850,6 @@ def cmd_phase(args) -> int:
     schedule = _build_schedule(cfg.schedule)
     by_level = {d.level: d for d in cfg.drives}
     kind = cfg.system.kind
-
-    def ramp_of(drive: DriveConfig) -> PhaseRamp:
-        if drive.phase_slope == 0.0:
-            return PhaseRamp(kind="constant", offset=drive.phase_offset)
-        return PhaseRamp(kind="linear", offset=drive.phase_offset, slope=drive.phase_slope)
-
     if kind in ("lambda", "tripod"):
         stokes_level = "s" if kind == "lambda" else "2"
         stokes = by_level.get(stokes_level)
@@ -861,7 +861,7 @@ def cmd_phase(args) -> int:
         if not pumps:
             raise ConfigError("drives: the phase command needs at least one pump drive")
         combined = math.hypot(*[d.peak_rabi for d in pumps])
-        ramp = ramp_of(stokes)
+        ramp = _build_ramp(stokes)
         est = berry_phase_numeric(
             schedule, ramp, peak_pump=combined, peak_stokes=stokes.peak_rabi
         )

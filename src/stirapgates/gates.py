@@ -130,15 +130,6 @@ def reconstruct_unitary(
     return _finalize_matrix(u, leakage_cap, fix_global_phase)
 
 
-def _max_excited(trajectories, excited_marker: str = "e") -> float:
-    worst = 0.0
-    for traj in trajectories:
-        for idx, label in enumerate(traj.basis_labels):
-            if excited_marker in label:
-                worst = max(worst, float(traj.max_populations[idx]))
-    return worst
-
-
 def _fidelity(u: np.ndarray, target: np.ndarray, leakage: float) -> float:
     tol = max(1e-8, 5.0 * leakage + 1e-12)
     return unitary_fidelity(u, target, unitarity_tol=tol)
@@ -183,7 +174,7 @@ def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
         predicted_phase=berry_phase_closed_form(schedule, stokes_ramp),
         schedule=schedule,
         convergence=report,
-        max_excited_population=_max_excited(trajs),
+        max_excited_population=max(t.max_e_population for t in trajs),
     )
 
 
@@ -240,7 +231,7 @@ def run_hadamard(spec: GateSpec) -> GateReport:
         predicted_phase=berry_phase_closed_form(schedule, stokes_ramp),
         schedule=schedule,
         convergence=report,
-        max_excited_population=_max_excited(trajs),
+        max_excited_population=max(t.max_e_population for t in trajs),
     )
 
 
@@ -342,7 +333,7 @@ def run_controlled_phase(
         predicted_phase=predicted,
         schedule=schedule,
         convergence=report,
-        max_excited_population=_max_excited(trajs),
+        max_excited_population=max(t.max_e_population for t in trajs),
         note=(
             f"sequence delay solved to {delay:.6f} "
             f"(ramp correction {correction:.6f})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ConvergenceReport, TimeGrid, Trajectory, converge
+from .propagator import ConvergenceReport, TimeGrid, Trajectory, converge_many
 from .pulses import MixingProfile, PhaseRamp, StirapSchedule
 from .qcore import StateVector
 
@@ -89,18 +89,8 @@ def mixing_integral(
     With power 1 this equals the sequence delay exactly: the two ramp
     regions are mirror images and their deviations from the hold cancel.
     """
-    profile = MixingProfile(schedule, peak_pump=peak_pump, peak_stokes=peak_stokes)
-
-    def integrand(times: np.ndarray) -> np.ndarray:
-        vals, _ = profile.values(times)
-        return vals**power
-
-    return integrate_piecewise(
-        integrand,
-        schedule.t_start,
-        schedule.support_end,
-        breakpoints=schedule_breakpoints(schedule),
-        intervals=intervals,
+    return _weight_integral(
+        schedule, lambda vals: vals**power, peak_pump, peak_stokes, intervals
     )
 
 
@@ -116,19 +106,9 @@ def berry_phase_numeric(
     Only the relative phase between the two drives matters, so the pump
     phase is taken constant and the winding rate is the stokes ramp slope.
     """
-    profile = MixingProfile(schedule, peak_pump=peak_pump, peak_stokes=peak_stokes)
     rate = stokes_phase.slope
-
-    def integrand(times: np.ndarray) -> np.ndarray:
-        vals, _ = profile.values(times)
-        return -rate * vals
-
-    return integrate_piecewise(
-        integrand,
-        schedule.t_start,
-        schedule.support_end,
-        breakpoints=schedule_breakpoints(schedule),
-        intervals=intervals,
+    return _weight_integral(
+        schedule, lambda vals: -rate * vals, peak_pump, peak_stokes, intervals
     )
 
 
@@ -168,6 +148,14 @@ def _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end):
     raise TypeError(f"expected a schedule or an angle callable, got {type(theta)!r}")
 
 
+def _weight_integral(theta, f, peak_1, peak_2, intervals, t_start=None, t_end=None):
+    """Quadrature of f(R) over the sequence, R the transferred-level weight."""
+    weight, a, b, kinks = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
+    return integrate_piecewise(
+        lambda times: f(weight(times)), a, b, breakpoints=kinks, intervals=intervals
+    )
+
+
 def two_qubit_phase(
     theta,
     interaction_shift: float,
@@ -184,13 +172,7 @@ def two_qubit_phase(
     into a phase rate. ``theta`` is a pulse schedule or a callable mapping
     time to the mixing angle in radians (then the bounds are required).
     """
-    weight, a, b, kinks = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
-
-    def integrand(times: np.ndarray) -> np.ndarray:
-        r = weight(times)
-        return r * r
-
-    est = integrate_piecewise(integrand, a, b, breakpoints=kinks, intervals=intervals)
+    est = _weight_integral(theta, lambda r: r * r, peak_1, peak_2, intervals, t_start, t_end)
     return PhaseEstimate(
         value=-interaction_shift * est.value,
         error_estimate=abs(interaction_shift) * est.error_estimate,
@@ -209,20 +191,9 @@ def ramp_weight_deficit(
     their shape as the second pulse pair slides), which makes it the
     natural correction when solving for a delay that hits a phase target.
     """
-    profile = MixingProfile(schedule, peak_pump=peak_1, peak_stokes=peak_2)
-
-    def integrand(times: np.ndarray) -> np.ndarray:
-        vals, _ = profile.values(times)
-        return vals * (1.0 - vals)
-
-    est = integrate_piecewise(
-        integrand,
-        schedule.t_start,
-        schedule.support_end,
-        breakpoints=schedule_breakpoints(schedule),
-        intervals=intervals,
-    )
-    return est.value
+    return _weight_integral(
+        schedule, lambda vals: vals * (1.0 - vals), peak_1, peak_2, intervals
+    ).value
 
 
 def wz_connection(theta_2: float, interaction_shift: float) -> np.ndarray:
@@ -291,7 +262,7 @@ def wz_propagate(
 
     grid = TimeGrid(t_start=a, t_end=b, base_step=base_step, sample_stride=sample_stride)
     start = StateVector(np.array([1.0, 0.0], dtype=complex), _WZ_LABELS)
-    traj, report = converge(model, start, grid, tolerance=tolerance)
+    (traj,), report = converge_many(model, [start], grid, tolerance=tolerance)
 
     mixing = traj.populations[:, 1]
     return WzResult(

@@ -2,8 +2,8 @@
 
 The integrator is the classical fourth-order Runge-Kutta scheme on a
 uniform grid. The state is never renormalized; the norm defect is a
-diagnostic that reports integration quality, and ``converge`` halves the
-step until successive terminal states agree. Phases are unwrapped along
+diagnostic that reports integration quality, and ``converge_many`` halves
+the step until successive terminal states agree. Phases are unwrapped along
 the time axis only while a level is populated; across depopulated gaps the
 last defined value is frozen and unwrapping resumes relative to it.
 """
@@ -261,15 +261,7 @@ def _unwrap_column(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_observables(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Populations and unwrapped phases recomputed from the stored states.
-
-    A level's phase is defined only where its population exceeds the
-    reporting floor. Within a defined stretch consecutive values differ by
-    less than pi; across an undefined gap the phase resumes from the last
-    defined value plus the principal-branch increment.
-    """
-    states = trajectory.states
+def _observables(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pops = np.abs(states) ** 2
     raw = np.angle(states)
     phases = np.empty_like(pops)
@@ -279,64 +271,19 @@ def extract_observables(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]
     return pops, phases
 
 
-def _build_trajectory(times, samples, labels, drift, max_pops, grid) -> Trajectory:
-    traj = Trajectory(
-        times=times,
-        states=samples,
-        basis_labels=labels,
-        populations=np.empty(0),
-        phases=np.empty(0),
-        norm_drift=drift,
-        max_populations=max_pops,
-        step=grid.step,
-        n_steps=grid.n_steps,
-    )
-    pops, phases = extract_observables(traj)
-    object.__setattr__(traj, "populations", pops)
-    object.__setattr__(traj, "phases", phases)
-    return traj
+def extract_observables(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Populations and unwrapped phases recomputed from the stored states.
 
-
-def propagate(
-    hamiltonian,
-    state: StateVector,
-    grid: TimeGrid,
-    check_quality: bool = True,
-) -> Trajectory:
-    """Integrate i d(psi)/dt = H(t) psi with classical RK4 on the grid.
-
-    ``hamiltonian`` may be a HamiltonianModel, a constant matrix, or a
-    callable t -> matrix. The run is deterministic for a given grid. When
-    the norm drifts by more than ``NORM_DRIFT_LIMIT`` the result is
-    rejected with an error asking for step refinement (use ``converge``).
+    A level's phase is defined only where its population exceeds the
+    reporting floor. Within a defined stretch consecutive values differ by
+    less than pi; across an undefined gap the phase resumes from the last
+    defined value plus the principal-branch increment.
     """
-    model = _as_model(hamiltonian, state.basis_labels)
-    if tuple(model.basis_labels) != tuple(state.basis_labels):
-        raise ValueError(
-            f"state basis {state.basis_labels} does not match the model "
-            f"basis {tuple(model.basis_labels)}"
-        )
-    times, samples, drift, max_pops = _run_fixed_step(
-        model, state.amplitudes[:, None], grid
-    )
-    traj = _build_trajectory(
-        times, samples[:, :, 0], tuple(state.basis_labels), drift, max_pops[:, 0], grid
-    )
-    if check_quality and drift > NORM_DRIFT_LIMIT:
-        raise IntegrationQualityError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
-            f"refine the step (current {grid.step:.3e}) or use converge()"
-        )
-    return traj
+    return _observables(trajectory.states)
 
 
-def propagate_many(
-    hamiltonian,
-    states: list[StateVector],
-    grid: TimeGrid,
-    check_quality: bool = True,
-) -> list[Trajectory]:
-    """Propagate several initial states through one shared grid pass."""
+def _preflight(hamiltonian, states: list[StateVector]):
+    """Model, shared basis labels and (dim, n_states) amplitude block."""
     if not states:
         raise ValueError("need at least one initial state")
     labels = tuple(states[0].basis_labels)
@@ -345,18 +292,58 @@ def propagate_many(
             raise ValueError("all initial states must share one basis")
     model = _as_model(hamiltonian, labels)
     if tuple(model.basis_labels) != labels:
-        raise ValueError("state basis does not match the model basis")
-    block = np.stack([st.amplitudes for st in states], axis=1)
-    times, samples, drift, max_pops = _run_fixed_step(model, block, grid)
+        raise ValueError(
+            f"state basis {labels} does not match the model "
+            f"basis {tuple(model.basis_labels)}"
+        )
+    return model, labels, np.stack([st.amplitudes for st in states], axis=1)
+
+
+def _trajectories(run, labels: tuple[str, ...], grid: TimeGrid) -> list[Trajectory]:
+    """One Trajectory per column of a fixed-step run's amplitude block."""
+    times, samples, drift, max_pops = run
+    trajs = []
+    for j in range(samples.shape[2]):
+        states = samples[:, :, j]
+        pops, phases = _observables(states)
+        trajs.append(Trajectory(
+            times=times,
+            states=states,
+            basis_labels=labels,
+            populations=pops,
+            phases=phases,
+            norm_drift=drift,
+            max_populations=max_pops[:, j],
+            step=grid.step,
+            n_steps=grid.n_steps,
+        ))
+    return trajs
+
+
+def propagate_many(
+    hamiltonian,
+    states: list[StateVector],
+    grid: TimeGrid,
+    check_quality: bool = True,
+) -> list[Trajectory]:
+    """Integrate i d(psi)/dt = H(t) psi with classical RK4 on the grid.
+
+    ``hamiltonian`` may be a HamiltonianModel, a constant matrix, or a
+    callable t -> matrix. All initial states share one grid pass and one
+    basis, which must match the model's. The run is deterministic for a
+    given grid. When the norm drifts by more than ``NORM_DRIFT_LIMIT`` the
+    result is rejected with an error asking for step refinement (use
+    ``converge_many``).
+    """
+    model, labels, block = _preflight(hamiltonian, states)
+    run = _run_fixed_step(model, block, grid)
+    drift = run[2]
     if check_quality and drift > NORM_DRIFT_LIMIT:
         raise IntegrationQualityError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
-            f"refine the step (current {grid.step:.3e}) or use converge()"
+            f"refine the step (current {grid.step:.3e}) or use converge_many()"
         )
-    return [
-        _build_trajectory(times, samples[:, :, j], labels, drift, max_pops[:, j], grid)
-        for j in range(block.shape[1])
-    ]
+    return _trajectories(run, labels, grid)
 
 
 @dataclass(frozen=True)
@@ -426,29 +413,6 @@ def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,
     )
 
 
-def converge(
-    hamiltonian,
-    state: StateVector,
-    grid: TimeGrid,
-    tolerance: float = 1e-8,
-    max_halvings: int = _MAX_HALVINGS,
-) -> tuple[Trajectory, ConvergenceReport]:
-    """Halve the step until successive terminal states agree.
-
-    Acceptance requires both the terminal-state distance at or below
-    ``tolerance`` and a healthy norm; the finest trajectory is returned.
-    Raises ConvergenceError when the halving cap is exhausted.
-    """
-    model = _as_model(hamiltonian, state.basis_labels)
-    block = state.amplitudes[:, None]
-    run, used_grid, report = _converge_block(model, block, grid, tolerance, max_halvings)
-    times, samples, drift, max_pops = run
-    traj = _build_trajectory(
-        times, samples[:, :, 0], tuple(state.basis_labels), drift, max_pops[:, 0], used_grid
-    )
-    return traj, report
-
-
 def converge_many(
     hamiltonian,
     states: list[StateVector],
@@ -456,17 +420,16 @@ def converge_many(
     tolerance: float = 1e-8,
     max_halvings: int = _MAX_HALVINGS,
 ) -> tuple[list[Trajectory], ConvergenceReport]:
-    """Shared convergence ladder for a batch of initial states."""
-    labels = tuple(states[0].basis_labels)
-    model = _as_model(hamiltonian, labels)
-    block = np.stack([st.amplitudes for st in states], axis=1)
+    """Halve the step until successive terminal states agree.
+
+    One ladder is shared by the whole batch. Acceptance requires both the
+    worst terminal-state distance at or below ``tolerance`` and a healthy
+    norm; the finest trajectories are returned. Raises ConvergenceError
+    when the halving cap is exhausted.
+    """
+    model, labels, block = _preflight(hamiltonian, states)
     run, used_grid, report = _converge_block(model, block, grid, tolerance, max_halvings)
-    times, samples, drift, max_pops = run
-    trajs = [
-        _build_trajectory(times, samples[:, :, j], labels, drift, max_pops[:, j], used_grid)
-        for j in range(block.shape[1])
-    ]
-    return trajs, report
+    return _trajectories(run, labels, used_grid), report
 
 
 def adiabaticity_report(trajectory: Trajectory, subspace) -> float:

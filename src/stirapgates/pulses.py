@@ -35,9 +35,9 @@ class PulseEnvelope:
     def __post_init__(self) -> None:
         if self.shape not in ENVELOPE_SHAPES:
             raise ValueError(f"unknown envelope shape {self.shape!r}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.omega_max < 0.0:
+        if not self.omega_max >= 0.0:
             raise ValueError("omega_max must be non-negative; put sign flips in the phase ramp")
 
     @property
@@ -155,13 +155,13 @@ class StirapSchedule:
     t_start: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.pulse_delay <= 0.0:
+        if not self.pulse_delay > 0.0:
             raise ValueError("pulse_delay must be positive")
-        if self.pulse_delay >= 2.0 * self.tau:
+        if not self.pulse_delay < 2.0 * self.tau:
             raise ValueError("pulse_delay must be smaller than the pulse support 2 tau")
-        if self.sequence_delay <= 2.0 * self.tau + self.pulse_delay:
+        if not self.sequence_delay > 2.0 * self.tau + self.pulse_delay:
             raise ValueError(
                 "sequence_delay must exceed 2 tau + pulse_delay so the sequences do not overlap"
             )

@@ -12,7 +12,7 @@ from stirapgates import (
     TimeGrid,
     basis_state,
     build_schedule,
-    converge,
+    converge_many,
     sequence_fields,
 )
 
@@ -46,7 +46,7 @@ def transport_run():
     )
     start = basis_state(LAMBDA_LABELS, "q")
     model = system.model()
-    traj, report = converge(model, start, grid, tolerance=1e-6)
+    (traj,), report = converge_many(model, [start], grid, tolerance=1e-6)
     return {
         "schedule": schedule,
         "ramp": ramp,

@@ -29,10 +29,9 @@ from stirapgates import (
     berry_phase_numeric,
     build_schedule,
     calibrate_interaction_shift,
-    converge,
     converge_many,
     principal_angle,
-    propagate,
+    propagate_many,
     run_controlled_phase,
     run_hadamard,
     run_phase_gate,
@@ -73,7 +72,7 @@ def test_criterion_1_reference_transport(transport_run, capsys):
         sched.t_start, sched.support_end, report_conv.accepted_step, sample_stride=4
     )
     t0 = time.monotonic()
-    traj = propagate(system_model, basis_state(("q", "e", "s"), "q"), grid)
+    traj = propagate_many(system_model, [basis_state(("q", "e", "s"), "q")], grid)[0]
     seconds = time.monotonic() - t0
 
     phase_err = abs(principal_angle(traj.terminal_phase("q") + 5.0))
@@ -116,9 +115,9 @@ def test_criterion_2_transport_phase_triangle(capsys):
         ramp = PhaseRamp(kind="linear", slope=slope)
         pump, stokes = sequence_fields(sched, peak, peak, "q", "s", stokes_phase=ramp)
         grid = TimeGrid(sched.t_start, sched.support_end, tau / 200.0, sample_stride=256)
-        traj, _ = converge(
+        (traj,), _ = converge_many(
             LambdaSystem(pump=pump, stokes=stokes).model(),
-            basis_state(("q", "e", "s"), "q"),
+            [basis_state(("q", "e", "s"), "q")],
             grid,
             tolerance=tol,
         )

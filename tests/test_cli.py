@@ -146,6 +146,40 @@ def test_override_error_paths():
         apply_override(raw, "drives.first.level=x")
 
 
+def test_parse_rejects_non_finite_numbers():
+    raw = minimal_raw()
+    raw["schedule"]["tau"] = "nan"
+    with pytest.raises(ConfigError, match="schedule.tau: expected a finite number"):
+        parse_config(raw)
+    raw = simulate_raw()
+    raw["drives"][0]["peak_rabi"] = math.inf
+    with pytest.raises(ConfigError, match="drives.0.peak_rabi: expected a finite number"):
+        parse_config(raw)
+    raw["drives"][0]["peak_rabi"] = 10**400
+    with pytest.raises(ConfigError, match="drives.0.peak_rabi: expected a finite number"):
+        parse_config(raw)
+
+
+def test_non_finite_override_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, simulate_raw())
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x"),
+               "--set", "schedule.tau=.nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "schedule.tau" in err and "finite" in err
+
+
+def test_parse_accepts_integral_floats_as_integers():
+    raw = minimal_raw()
+    raw["grid"] = {"sample_stride": 4.0}
+    assert parse_config(raw).grid.sample_stride == 4
+    raw["sweep"] = {
+        "axes": [{"parameter": "schedule.tau", "start": 1.0, "stop": 2.0, "points": 2.5}]
+    }
+    with pytest.raises(ConfigError, match="expected an integer"):
+        parse_config(raw)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -308,6 +342,20 @@ def test_sweep_output_is_worker_count_independent(tmp_path):
         assert rc == 0
         outputs.append((out / "sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_over_an_integer_field(tmp_path):
+    raw = simulate_raw()
+    raw["sweep"] = {
+        "axes": [{"parameter": "grid.sample_stride", "start": 4, "stop": 8, "points": 2}]
+    }
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, raw)
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", "1"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["grid.sample_stride"]) for r in rows] == [4.0, 8.0]
+    assert all(r["error"] == "" for r in rows)
 
 
 # ---------------------------------------------------------------------------

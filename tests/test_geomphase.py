@@ -18,7 +18,7 @@ from stirapgates import (
     berry_phase_numeric,
     build_schedule,
     calibrate_interaction_shift,
-    converge,
+    converge_many,
     integrate_piecewise,
     mixing_integral,
     principal_angle,
@@ -166,8 +166,8 @@ def test_transport_phases_add_over_consecutive_sequences():
     )
     system = LambdaSystem(pump=pump, stokes=stokes)
     grid = TimeGrid(first.t_start, second.support_end, 0.005, sample_stride=64)
-    traj, _ = converge(
-        system.model(), basis_state(LAMBDA_LABELS, "q"), grid, tolerance=1e-5
+    (traj,), _ = converge_many(
+        system.model(), [basis_state(LAMBDA_LABELS, "q")], grid, tolerance=1e-5
     )
     expected = berry_phase_closed_form(first, ramp) + berry_phase_closed_form(
         second, ramp

@@ -16,12 +16,10 @@ from stirapgates import (
     adiabaticity_report,
     basis_state,
     build_schedule,
-    converge,
     converge_many,
     dark_state,
     extract_observables,
     principal_angle,
-    propagate,
     propagate_many,
     sequence_fields,
     time_reversed,
@@ -69,13 +67,13 @@ def test_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# propagate basics
+# propagate_many basics
 
 
 def test_zero_hamiltonian_leaves_the_state_alone():
     grid = TimeGrid(0.0, 5.0, 0.05, sample_stride=10)
     start = basis_state(LABELS2, "0")
-    traj = propagate(np.zeros((2, 2), dtype=complex), start, grid)
+    traj = propagate_many(np.zeros((2, 2), dtype=complex), [start], grid)[0]
     assert traj.norm_drift == 0.0
     assert np.allclose(traj.populations[:, 0], 1.0)
     assert np.allclose(traj.phases[:, 0], 0.0)
@@ -91,7 +89,7 @@ def test_constant_diagonal_phase_is_a_straight_line():
     from stirapgates import StateVector
 
     grid = TimeGrid(0.0, 4.0, 0.002, sample_stride=50)
-    traj = propagate(ham, StateVector(amps, LABELS2), grid)
+    traj = propagate_many(ham, [StateVector(amps, LABELS2)], grid)[0]
     expected = -omega * traj.times
     assert np.max(np.abs(traj.phases[:, 0] - expected)) < 1e-7
     assert np.max(np.abs(traj.phases[:, 1])) < 1e-9
@@ -102,7 +100,7 @@ def test_constant_diagonal_phase_is_a_straight_line():
 def test_rabi_oscillation_matches_the_closed_form():
     omega = 2.0
     grid = TimeGrid(0.0, 3.0, 0.01, sample_stride=5)
-    traj = propagate((omega / 2.0) * SIGMA_X, basis_state(LABELS2, "0"), grid)
+    traj = propagate_many((omega / 2.0) * SIGMA_X, [basis_state(LABELS2, "0")], grid)[0]
     expected = np.cos(omega * traj.times / 2.0) ** 2
     assert np.max(np.abs(traj.populations[:, 0] - expected)) < 1e-8
 
@@ -119,7 +117,7 @@ def test_fourth_order_step_convergence():
     )
     errors = []
     for step in (0.1, 0.05, 0.025):
-        traj = propagate(ham, start, TimeGrid(0.0, t_end, step, sample_stride=1000))
+        traj = propagate_many(ham, [start], TimeGrid(0.0, t_end, step, sample_stride=1000))[0]
         errors.append(np.linalg.norm(traj.final_state.amplitudes - exact))
     assert 10.0 < errors[0] / errors[1] < 25.0
     assert 10.0 < errors[1] / errors[2] < 25.0
@@ -131,8 +129,23 @@ def test_propagate_rejects_mismatched_basis():
     model = LambdaSystem(pump=pump, stokes=stokes).model()
     grid = TimeGrid(0.0, 1.0, 0.1, sample_stride=1)
     state = basis_state(("a", "b", "c"), "a")
-    with pytest.raises(ValueError, match="basis"):
-        propagate(model, state, grid)
+    for entry in (propagate_many, converge_many):
+        # the error names both bases
+        with pytest.raises(ValueError, match=r"basis \('a', 'b', 'c'\).*basis \('q', 'e', 's'\)"):
+            entry(model, [state], grid)
+
+
+@pytest.mark.parametrize("entry", [propagate_many, converge_many])
+def test_entry_points_reject_an_empty_batch(entry):
+    with pytest.raises(ValueError, match="at least one"):
+        entry(SIGMA_X, [], TimeGrid(0.0, 1.0, 0.1, sample_stride=1))
+
+
+@pytest.mark.parametrize("entry", [propagate_many, converge_many])
+def test_entry_points_reject_mixed_bases(entry):
+    starts = [basis_state(LABELS2, "0"), basis_state(("a", "b"), "a")]
+    with pytest.raises(ValueError, match="share one basis"):
+        entry(SIGMA_X, starts, TimeGrid(0.0, 1.0, 0.1, sample_stride=1))
 
 
 def test_propagate_flags_excessive_norm_drift():
@@ -140,16 +153,16 @@ def test_propagate_flags_excessive_norm_drift():
     ham = 40.0 * SIGMA_X
     grid = TimeGrid(0.0, 10.0, 0.05, sample_stride=1)
     with pytest.raises(IntegrationQualityError, match="drift"):
-        propagate(ham, basis_state(LABELS2, "0"), grid)
+        propagate_many(ham, [basis_state(LABELS2, "0")], grid)
     # the same run is inspectable with the quality gate off
-    traj = propagate(ham, basis_state(LABELS2, "0"), grid, check_quality=False)
+    traj = propagate_many(ham, [basis_state(LABELS2, "0")], grid, check_quality=False)[0]
     assert traj.norm_drift > NORM_DRIFT_LIMIT
 
 
 def test_final_state_is_normalized_despite_drift():
     ham = 40.0 * SIGMA_X
     grid = TimeGrid(0.0, 10.0, 0.05, sample_stride=1)
-    traj = propagate(ham, basis_state(LABELS2, "0"), grid, check_quality=False)
+    traj = propagate_many(ham, [basis_state(LABELS2, "0")], grid, check_quality=False)[0]
     assert abs(np.linalg.norm(traj.final_state.amplitudes) - 1.0) < 1e-14
 
 
@@ -159,7 +172,7 @@ def test_propagate_many_matches_individual_runs():
     starts = [basis_state(LABELS2, "0"), basis_state(LABELS2, "1")]
     batched = propagate_many(ham, starts, grid)
     for start, planned in zip(starts, batched):
-        solo = propagate(ham, start, grid)
+        solo = propagate_many(ham, [start], grid)[0]
         assert np.allclose(planned.states, solo.states, atol=1e-14)
         # batched matmuls round differently at the last few bits
         assert abs(planned.norm_drift - solo.norm_drift) < 1e-12
@@ -167,12 +180,12 @@ def test_propagate_many_matches_individual_runs():
 
 def test_sampling_stride_does_not_change_the_physics():
     ham = 0.9 * SIGMA_X
-    coarse = propagate(
-        ham, basis_state(LABELS2, "0"), TimeGrid(0.0, 2.0, 0.01, sample_stride=10)
-    )
-    dense = propagate(
-        ham, basis_state(LABELS2, "0"), TimeGrid(0.0, 2.0, 0.01, sample_stride=1)
-    )
+    coarse = propagate_many(
+        ham, [basis_state(LABELS2, "0")], TimeGrid(0.0, 2.0, 0.01, sample_stride=10)
+    )[0]
+    dense = propagate_many(
+        ham, [basis_state(LABELS2, "0")], TimeGrid(0.0, 2.0, 0.01, sample_stride=1)
+    )[0]
     assert coarse.step == dense.step
     # every coarse sample time appears in the dense run with the same state
     lookup = {round(t, 12): k for k, t in enumerate(dense.times)}
@@ -183,21 +196,23 @@ def test_sampling_stride_does_not_change_the_physics():
 
 def test_extract_observables_mirrors_the_trajectory():
     ham = 0.7 * SIGMA_X
-    traj = propagate(
-        ham, basis_state(LABELS2, "0"), TimeGrid(0.0, 1.0, 0.01, sample_stride=5)
-    )
+    traj = propagate_many(
+        ham, [basis_state(LABELS2, "0")], TimeGrid(0.0, 1.0, 0.01, sample_stride=5)
+    )[0]
     pops, phases = extract_observables(traj)
     assert np.allclose(pops, traj.populations, equal_nan=True)
     assert np.allclose(phases, traj.phases, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
-# converge
+# converge_many
 
 
 def test_converge_trivial_problem_accepts_immediately():
     grid = TimeGrid(0.0, 1.0, 0.1, sample_stride=1)
-    traj, report = converge(np.zeros((2, 2), dtype=complex), basis_state(LABELS2, "0"), grid)
+    (traj,), report = converge_many(
+        np.zeros((2, 2), dtype=complex), [basis_state(LABELS2, "0")], grid
+    )
     # acceptance always needs one comparison pair, so one halving minimum
     assert report.halvings == 1
     assert report.distances[-1] == 0.0
@@ -208,7 +223,7 @@ def test_converge_trivial_problem_accepts_immediately():
 def test_converge_distances_shrink_monotonically():
     ham = 2.0 * SIGMA_X + np.diag([0.0, 0.5]).astype(complex)
     grid = TimeGrid(0.0, 3.0, 0.2, sample_stride=10)
-    traj, report = converge(ham, basis_state(LABELS2, "0"), grid, tolerance=1e-10)
+    (traj,), report = converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-10)
     assert len(report.distances) >= 2
     assert all(b < a for a, b in zip(report.distances, report.distances[1:]))
     assert report.distances[-1] <= 1e-10
@@ -229,7 +244,7 @@ def test_converge_handles_a_jump_discontinuity():
         return a if t < 1.0 else b
 
     grid = TimeGrid(0.0, 2.0, 0.11, sample_stride=10)
-    traj, report = converge(model, basis_state(LABELS2, "0"), grid, tolerance=1e-4)
+    (traj,), report = converge_many(model, [basis_state(LABELS2, "0")], grid, tolerance=1e-4)
     assert report.distances[-1] <= 1e-4
     assert report.halvings > 3
     # cross-check against the exact exponentials of the two constant pieces
@@ -243,7 +258,7 @@ def test_converge_raises_when_the_cap_is_exhausted():
     ham = 5.0 * SIGMA_X
     grid = TimeGrid(0.0, 2.0, 0.5, sample_stride=1)
     with pytest.raises(ConvergenceError):
-        converge(ham, basis_state(LABELS2, "0"), grid, tolerance=1e-15, max_halvings=2)
+        converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-15, max_halvings=2)
     assert issubclass(ConvergenceError, IntegrationQualityError)
 
 
@@ -254,7 +269,7 @@ def test_converge_many_shares_one_ladder():
     trajs, report = converge_many(ham, starts, grid, tolerance=1e-9)
     assert len(trajs) == 2
     assert all(t.step == trajs[0].step for t in trajs)
-    solo, solo_report = converge(ham, starts[0], grid, tolerance=1e-9)
+    (solo,), solo_report = converge_many(ham, starts[:1], grid, tolerance=1e-9)
     assert np.allclose(trajs[0].states, solo.states, atol=1e-12)
     assert solo_report.accepted_step == report.accepted_step
 
@@ -263,7 +278,7 @@ def test_converge_clamps_unstable_initial_steps():
     # base step far above the stability limit for this drive strength
     ham = 100.0 * SIGMA_X
     grid = TimeGrid(0.0, 1.0, 0.2, sample_stride=1)
-    traj, report = converge(ham, basis_state(LABELS2, "0"), grid, tolerance=1e-8)
+    (traj,), report = converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-8)
     assert report.clamped
     assert report.initial_step < 0.2
     assert traj.norm_drift <= NORM_DRIFT_LIMIT
@@ -280,10 +295,10 @@ def test_time_reversal_round_trip():
     grid = TimeGrid(sched.t_start, sched.support_end, 0.002, sample_stride=100)
     start = basis_state(LAMBDA_LABELS, "q")
     tol = 1e-9
-    forward, _ = converge(system.model(), start, grid, tolerance=tol)
+    (forward,), _ = converge_many(system.model(), [start], grid, tolerance=tol)
 
     reversed_model = time_reversed(system.model(), sched.t_start, sched.support_end)
-    back, _ = converge(reversed_model, forward.final_state, grid, tolerance=tol)
+    (back,), _ = converge_many(reversed_model, [forward.final_state], grid, tolerance=tol)
     assert np.linalg.norm(back.final_state.amplitudes - start.amplitudes) <= 10.0 * tol
 
 
@@ -311,7 +326,7 @@ def test_adiabaticity_improves_with_drive_strength():
         pump, stokes = sequence_fields(sched, peak, peak, "q", "s")
         system = LambdaSystem(pump=pump, stokes=stokes)
         grid = TimeGrid(sched.t_start, sched.support_end, 0.001, sample_stride=20)
-        traj = propagate(system.model(), basis_state(LAMBDA_LABELS, "q"), grid)
+        traj = propagate_many(system.model(), [basis_state(LAMBDA_LABELS, "q")], grid)[0]
         leaks.append(adiabaticity_report(traj, dark_column))
     assert all(b < a for a, b in zip(leaks, leaks[1:]))
     assert leaks[-1] < 1e-3

@@ -56,6 +56,10 @@ def test_envelope_validation():
         PulseEnvelope(omega_max=1.0, tau=0.0)
     with pytest.raises(ValueError, match="non-negative"):
         PulseEnvelope(omega_max=-1.0, tau=1.0)
+    with pytest.raises(ValueError, match="tau"):
+        PulseEnvelope(omega_max=1.0, tau=math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        PulseEnvelope(omega_max=math.nan, tau=1.0)
     with pytest.raises(ValueError, match="shape"):
         PulseEnvelope(omega_max=1.0, tau=1.0, shape="boxcar")
 
@@ -164,6 +168,12 @@ def test_schedule_validation():
         build_schedule(1.0, 2.0, 9.0)
     with pytest.raises(ValueError, match="sequence_delay"):
         build_schedule(1.0, 1.0, 3.0)
+    with pytest.raises(ValueError, match="tau"):
+        StirapSchedule(tau=math.nan, pulse_delay=0.5, sequence_delay=4.0)
+    with pytest.raises(ValueError, match="pulse_delay"):
+        StirapSchedule(tau=1.0, pulse_delay=math.nan, sequence_delay=4.0)
+    with pytest.raises(ValueError, match="sequence_delay"):
+        StirapSchedule(tau=1.0, pulse_delay=0.5, sequence_delay=math.nan)
 
 
 def test_schedule_translation_moves_everything():
