@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -32,6 +32,7 @@ from .gates import (
     run_controlled_phase,
     run_hadamard,
     run_phase_gate,
+    schedule_grid,
 )
 from .geomphase import (
     berry_phase_closed_form,
@@ -58,86 +59,16 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Configuration schema
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    kind: str
-    detuning: float
-    interaction_shift: float
-    initial_state: str | None
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    tau: float
-    pulse_delay: float
-    sequence_delay: float
-    t_start: float
-
-
-@dataclass(frozen=True)
-class DriveConfig:
-    level: str
-    role: str
-    peak_rabi: float
-    phase_slope: float
-    phase_offset: float
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    base_step: float | None
-    sample_stride: int
-    tolerance: float | None
-    t_end: float | None
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    kind: str
-    target_phase: float
-    peak_rabi: float
-    margin: float | None
-
-
-@dataclass(frozen=True)
-class AxisConfig:
-    parameter: str
-    start: float
-    stop: float
-    points: int
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system: SystemConfig
-    schedule: ScheduleConfig
-    drives: tuple[DriveConfig, ...]
-    grid: GridConfig
-    gate: GateConfig | None
-    sweep_axes: tuple[AxisConfig, ...]
-    seed: int | None
-    output_dir: str | None
+#
+# Each section is a dataclass whose fields declare, once, how the YAML value
+# is parsed and what it defaults to (no default: required). parse_config and
+# config_to_dict are generic walks over these declarations.
 
 
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
     return value
-
-
-def _take(mapping: dict, key: str, path: str, default=None, required: bool = False):
-    if key in mapping:
-        return mapping.pop(key)
-    if required:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    return default
-
-
-def _reject_extras(mapping: dict, path: str) -> None:
-    if mapping:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(mapping)}")
 
 
 def _as_float(value, path: str) -> float:
@@ -155,10 +86,6 @@ def _as_float(value, path: str) -> float:
     return number
 
 
-def _as_optional_float(value, path: str) -> float | None:
-    return None if value is None else _as_float(value, path)
-
-
 def _as_int(value, path: str) -> int:
     # sweep axes come from np.linspace, so an integral float counts as integer
     if isinstance(value, float) and value.is_integer():
@@ -168,210 +95,194 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_choice(value, path: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
-    return value
+def _as_count(value, path: str) -> int:
+    count = _as_int(value, path)
+    if count < 1:
+        raise ConfigError(f"{path}: must be at least 1")
+    return count
+
+
+def _as_text(value, path: str) -> str:
+    return str(value)
+
+
+def _one_of(*choices: str):
+    def parse(value, path: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
+        return value
+
+    return parse
+
+
+# basis labels of each system kind; its keys are the choices of system.kind
+_SYSTEM_LABELS = {"lambda": LAMBDA_LABELS, "tripod": TRIPOD_LABELS, "two_atom": TWO_ATOM_LABELS}
+
+
+def _scalar(parse, default=MISSING, *, nullable: bool = False):
+    """A leaf field. A null value is taken when the default is None or the
+    field is ``nullable``; only a nullable null is written back out."""
+    return field(default=default, metadata={"parse": parse, "nullable": nullable})
+
+
+def _nested(section: type, default=MISSING, *, many: bool = False):
+    """A sub-section, or with ``many`` a list of them (non-empty if required)."""
+    return field(default=default, metadata={"section": section, "many": many})
+
+
+@dataclass(frozen=True, kw_only=True)
+class SystemConfig:
+    kind: str = _scalar(_one_of(*_SYSTEM_LABELS))
+    detuning: float = _scalar(_as_float, 0.0)
+    interaction_shift: float = _scalar(_as_float, 0.0)
+    initial_state: str | None = _scalar(_as_text, None)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScheduleConfig:
+    tau: float = _scalar(_as_float)
+    pulse_delay: float = _scalar(_as_float)
+    sequence_delay: float = _scalar(_as_float)
+    t_start: float = _scalar(_as_float, 0.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class DriveConfig:
+    level: str = _scalar(_as_text)
+    role: str = _scalar(_one_of("pump", "stokes"))
+    peak_rabi: float = _scalar(_as_float)
+    phase_slope: float = _scalar(_as_float, 0.0)
+    phase_offset: float = _scalar(_as_float, 0.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class GridConfig:
+    base_step: float | None = _scalar(_as_float, None, nullable=True)
+    sample_stride: int = _scalar(_as_count, 16)
+    tolerance: float | None = _scalar(_as_float, 1e-8, nullable=True)
+    t_end: float | None = _scalar(_as_float, None, nullable=True)
+
+
+@dataclass(frozen=True, kw_only=True)
+class GateConfig:
+    kind: str = _scalar(_one_of("phase", "hadamard", "controlled_phase"))
+    target_phase: float = _scalar(_as_float, 0.0)
+    peak_rabi: float = _scalar(_as_float)
+    margin: float | None = _scalar(_as_float, None, nullable=True)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AxisConfig:
+    parameter: str = _scalar(_as_text)
+    start: float = _scalar(_as_float)
+    stop: float = _scalar(_as_float)
+    points: int = _scalar(_as_count)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig:
+    axes: tuple[AxisConfig, ...] = _nested(AxisConfig, many=True)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    system: SystemConfig = _nested(SystemConfig)
+    schedule: ScheduleConfig = _nested(ScheduleConfig)
+    drives: tuple[DriveConfig, ...] = _nested(DriveConfig, (), many=True)
+    grid: GridConfig = _nested(GridConfig, GridConfig())
+    gate: GateConfig | None = _nested(GateConfig, None)
+    sweep: SweepConfig | None = _nested(SweepConfig, None)
+    seed: int | None = _scalar(_as_int, None)
+    output_dir: str | None = _scalar(_as_text, None)
+
+    @property
+    def sweep_axes(self) -> tuple[AxisConfig, ...]:
+        return () if self.sweep is None else self.sweep.axes
+
+
+def _parse_field(spec, value, path: str):
+    meta = spec.metadata
+    if value is None and (spec.default is None or meta.get("nullable")):
+        return None
+    if "parse" in meta:
+        return meta["parse"](value, path)
+    if not meta["many"]:
+        return _section(meta["section"], value, path)
+    return _section_list(meta["section"], value, path, required=spec.default is MISSING)
+
+
+def _section(cls, raw, path: str):
+    """Parse the mapping ``raw`` into the section dataclass ``cls``."""
+    label = path or "config"
+    entry = dict(_expect_mapping(raw, label))
+    values = {}
+    for spec in fields(cls):
+        if spec.name in entry:
+            sub = f"{path}.{spec.name}" if path else spec.name
+            values[spec.name] = _parse_field(spec, entry.pop(spec.name), sub)
+        elif spec.default is MISSING:
+            raise ConfigError(f"{label}.{spec.name}: required field is missing")
+    if entry:
+        raise ConfigError(f"{label}: unknown field(s) {sorted(entry)}")
+    return cls(**values)
+
+
+def _section_list(cls, raw, path: str, required: bool) -> tuple:
+    if not isinstance(raw, list) or (required and not raw):
+        raise ConfigError(f"{path}: expected a {'non-empty ' if required else ''}list")
+    return tuple(_section(cls, item, f"{path}.{i}") for i, item in enumerate(raw))
+
+
+def _names_scalar(cfg: ExperimentConfig, dotted: str) -> bool:
+    """Whether ``dotted`` names a scalar field of ``cfg``; list entries need an index."""
+    cls, node = ExperimentConfig, cfg
+    parts = dotted.split(".")
+    while parts:
+        spec = {f.name: f for f in fields(cls)}.get(parts.pop(0))
+        if spec is None:
+            return False
+        node = getattr(node, spec.name)
+        if "parse" in spec.metadata:
+            return not parts
+        if node is None:  # an optional section this config leaves out
+            return False
+        cls = spec.metadata["section"]
+        if spec.metadata["many"]:
+            try:
+                node = node[int(parts.pop(0))]
+            except (IndexError, ValueError):
+                return False
+    return False
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into a typed configuration."""
-    top = dict(_expect_mapping(raw, "config"))
-
-    sys_raw = dict(_expect_mapping(_take(top, "system", "config", required=True), "system"))
-    kind = _as_choice(_take(sys_raw, "kind", "system", required=True), "system.kind",
-                      ("lambda", "tripod", "two_atom"))
-    initial = _take(sys_raw, "initial_state", "system", default=None)
-    system = SystemConfig(
-        kind=kind,
-        detuning=_as_float(_take(sys_raw, "detuning", "system", default=0.0), "system.detuning"),
-        interaction_shift=_as_float(
-            _take(sys_raw, "interaction_shift", "system", default=0.0),
-            "system.interaction_shift",
-        ),
-        initial_state=None if initial is None else str(initial),
-    )
-    _reject_extras(sys_raw, "system")
-
-    sch_raw = dict(_expect_mapping(_take(top, "schedule", "config", required=True), "schedule"))
-    schedule = ScheduleConfig(
-        tau=_as_float(_take(sch_raw, "tau", "schedule", required=True), "schedule.tau"),
-        pulse_delay=_as_float(
-            _take(sch_raw, "pulse_delay", "schedule", required=True), "schedule.pulse_delay"
-        ),
-        sequence_delay=_as_float(
-            _take(sch_raw, "sequence_delay", "schedule", required=True),
-            "schedule.sequence_delay",
-        ),
-        t_start=_as_float(_take(sch_raw, "t_start", "schedule", default=0.0), "schedule.t_start"),
-    )
-    _reject_extras(sch_raw, "schedule")
-
-    drives_raw = _take(top, "drives", "config", default=[])
-    if not isinstance(drives_raw, list):
-        raise ConfigError("drives: expected a list")
-    drives = []
-    for i, item in enumerate(drives_raw):
-        path = f"drives.{i}"
-        entry = dict(_expect_mapping(item, path))
-        drives.append(
-            DriveConfig(
-                level=str(_take(entry, "level", path, required=True)),
-                role=_as_choice(
-                    _take(entry, "role", path, required=True), f"{path}.role", ("pump", "stokes")
-                ),
-                peak_rabi=_as_float(
-                    _take(entry, "peak_rabi", path, required=True), f"{path}.peak_rabi"
-                ),
-                phase_slope=_as_float(
-                    _take(entry, "phase_slope", path, default=0.0), f"{path}.phase_slope"
-                ),
-                phase_offset=_as_float(
-                    _take(entry, "phase_offset", path, default=0.0), f"{path}.phase_offset"
-                ),
+    cfg = _section(ExperimentConfig, raw, "")
+    for i, axis in enumerate(cfg.sweep_axes):
+        if not _names_scalar(cfg, axis.parameter):
+            raise ConfigError(
+                f"sweep.axes.{i}.parameter: {axis.parameter!r} names no scalar field of this config"
             )
-        )
-        _reject_extras(entry, path)
+    return cfg
 
-    grid_raw = dict(_expect_mapping(_take(top, "grid", "config", default={}), "grid"))
-    grid = GridConfig(
-        base_step=_as_optional_float(
-            _take(grid_raw, "base_step", "grid", default=None), "grid.base_step"
-        ),
-        sample_stride=_as_int(
-            _take(grid_raw, "sample_stride", "grid", default=16), "grid.sample_stride"
-        ),
-        tolerance=_as_optional_float(
-            _take(grid_raw, "tolerance", "grid", default=1e-8), "grid.tolerance"
-        ),
-        t_end=_as_optional_float(_take(grid_raw, "t_end", "grid", default=None), "grid.t_end"),
-    )
-    if grid.sample_stride < 1:
-        raise ConfigError("grid.sample_stride: must be at least 1")
-    _reject_extras(grid_raw, "grid")
 
-    gate_raw = _take(top, "gate", "config", default=None)
-    gate = None
-    if gate_raw is not None:
-        entry = dict(_expect_mapping(gate_raw, "gate"))
-        gate = GateConfig(
-            kind=_as_choice(
-                _take(entry, "kind", "gate", required=True),
-                "gate.kind",
-                ("phase", "hadamard", "controlled_phase"),
-            ),
-            target_phase=_as_float(
-                _take(entry, "target_phase", "gate", default=0.0), "gate.target_phase"
-            ),
-            peak_rabi=_as_float(
-                _take(entry, "peak_rabi", "gate", required=True), "gate.peak_rabi"
-            ),
-            margin=_as_optional_float(_take(entry, "margin", "gate", default=None), "gate.margin"),
-        )
-        _reject_extras(entry, "gate")
-
-    sweep_raw = _take(top, "sweep", "config", default=None)
-    axes = []
-    if sweep_raw is not None:
-        entry = dict(_expect_mapping(sweep_raw, "sweep"))
-        axes_raw = _take(entry, "axes", "sweep", required=True)
-        _reject_extras(entry, "sweep")
-        if not isinstance(axes_raw, list) or not axes_raw:
-            raise ConfigError("sweep.axes: expected a non-empty list")
-        for i, item in enumerate(axes_raw):
-            path = f"sweep.axes.{i}"
-            axis = dict(_expect_mapping(item, path))
-            points = _as_int(_take(axis, "points", path, required=True), f"{path}.points")
-            if points < 1:
-                raise ConfigError(f"{path}.points: must be at least 1")
-            axes.append(
-                AxisConfig(
-                    parameter=str(_take(axis, "parameter", path, required=True)),
-                    start=_as_float(_take(axis, "start", path, required=True), f"{path}.start"),
-                    stop=_as_float(_take(axis, "stop", path, required=True), f"{path}.stop"),
-                    points=points,
-                )
-            )
-            _reject_extras(axis, path)
-
-    seed = _take(top, "seed", "config", default=None)
-    if seed is not None:
-        seed = _as_int(seed, "seed")
-    out_dir = _take(top, "output_dir", "config", default=None)
-    if out_dir is not None:
-        out_dir = str(out_dir)
-
-    _reject_extras(top, "config")
-    return ExperimentConfig(
-        system=system,
-        schedule=schedule,
-        drives=tuple(drives),
-        grid=grid,
-        gate=gate,
-        sweep_axes=tuple(axes),
-        seed=seed,
-        output_dir=out_dir,
-    )
+def _dump(value):
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {}
+    for spec in fields(value):
+        item = getattr(value, spec.name)
+        if spec.metadata.get("nullable") or not (item is None or item == ()):
+            out[spec.name] = _dump(item)
+    return out
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical mapping form; parse_config inverts it exactly."""
-    out: dict = {
-        "system": {
-            "kind": cfg.system.kind,
-            "detuning": cfg.system.detuning,
-            "interaction_shift": cfg.system.interaction_shift,
-        },
-        "schedule": {
-            "tau": cfg.schedule.tau,
-            "pulse_delay": cfg.schedule.pulse_delay,
-            "sequence_delay": cfg.schedule.sequence_delay,
-            "t_start": cfg.schedule.t_start,
-        },
-        "grid": {
-            "base_step": cfg.grid.base_step,
-            "sample_stride": cfg.grid.sample_stride,
-            "tolerance": cfg.grid.tolerance,
-            "t_end": cfg.grid.t_end,
-        },
-    }
-    if cfg.system.initial_state is not None:
-        out["system"]["initial_state"] = cfg.system.initial_state
-    if cfg.drives:
-        out["drives"] = [
-            {
-                "level": d.level,
-                "role": d.role,
-                "peak_rabi": d.peak_rabi,
-                "phase_slope": d.phase_slope,
-                "phase_offset": d.phase_offset,
-            }
-            for d in cfg.drives
-        ]
-    if cfg.gate is not None:
-        out["gate"] = {
-            "kind": cfg.gate.kind,
-            "target_phase": cfg.gate.target_phase,
-            "peak_rabi": cfg.gate.peak_rabi,
-            "margin": cfg.gate.margin,
-        }
-    if cfg.sweep_axes:
-        out["sweep"] = {
-            "axes": [
-                {
-                    "parameter": a.parameter,
-                    "start": a.start,
-                    "stop": a.stop,
-                    "points": a.points,
-                }
-                for a in cfg.sweep_axes
-            ]
-        }
-    if cfg.seed is not None:
-        out["seed"] = cfg.seed
-    if cfg.output_dir is not None:
-        out["output_dir"] = cfg.output_dir
-    return out
+    """Canonical mapping form; parse_config inverts it exactly. Unset optional
+    values are left out, except nullable ones, which are written as null."""
+    return _dump(cfg)
 
 
 def load_config(path: str) -> dict:
@@ -385,6 +296,16 @@ def load_config(path: str) -> dict:
     if raw is None:
         raw = {}
     return _expect_mapping(raw, "config")
+
+
+def _list_index(items: list, part: str, path: str) -> int:
+    try:
+        index = int(part)
+    except ValueError as exc:
+        raise ConfigError(f"override {path}: {part!r} is not a list index") from exc
+    if not -len(items) <= index < len(items):
+        raise ConfigError(f"override {path}: index {part} is out of range")
+    return index
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -402,15 +323,8 @@ def apply_override(raw: dict, assignment: str) -> None:
     node = raw
     parts = path.split(".")
     for j, part in enumerate(parts[:-1]):
-        key: object = part
         if isinstance(node, list):
-            try:
-                key = int(part)
-            except ValueError as exc:
-                raise ConfigError(f"override {path}: {part!r} is not a list index") from exc
-            if not -len(node) <= key < len(node):
-                raise ConfigError(f"override {path}: index {part} is out of range")
-            node = node[key]
+            node = node[_list_index(node, part, path)]
         elif isinstance(node, dict):
             if part not in node:
                 node[part] = {}
@@ -420,13 +334,7 @@ def apply_override(raw: dict, assignment: str) -> None:
             raise ConfigError(f"override {path}: {prefix!r} is not a container")
     last = parts[-1]
     if isinstance(node, list):
-        try:
-            idx = int(last)
-        except ValueError as exc:
-            raise ConfigError(f"override {path}: {last!r} is not a list index") from exc
-        if not -len(node) <= idx < len(node):
-            raise ConfigError(f"override {path}: index {last} is out of range")
-        node[idx] = value
+        node[_list_index(node, last, path)] = value
     elif isinstance(node, dict):
         node[last] = value
     else:
@@ -435,14 +343,6 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Building runtime objects
-
-
-def _labels_for(kind: str) -> tuple[str, ...]:
-    if kind == "lambda":
-        return LAMBDA_LABELS
-    if kind == "tripod":
-        return TRIPOD_LABELS
-    return TWO_ATOM_LABELS
 
 
 def _build_schedule(cfg: ScheduleConfig) -> StirapSchedule:
@@ -498,17 +398,9 @@ def _build_model(cfg: ExperimentConfig, schedule: StirapSchedule):
 
 
 def _build_grid(cfg: ExperimentConfig, schedule: StirapSchedule) -> TimeGrid:
-    t_end = cfg.grid.t_end if cfg.grid.t_end is not None else schedule.support_end
-    base_step = (
-        cfg.grid.base_step if cfg.grid.base_step is not None else cfg.schedule.tau / 200.0
-    )
+    grid = cfg.grid
     try:
-        return TimeGrid(
-            t_start=schedule.t_start,
-            t_end=t_end,
-            base_step=base_step,
-            sample_stride=cfg.grid.sample_stride,
-        )
+        return schedule_grid(schedule, grid.base_step, grid.sample_stride, grid.t_end)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -533,6 +425,10 @@ def _run_trajectory(cfg: ExperimentConfig):
 def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
     if cfg.gate is None:
         raise ConfigError("gate: section is required for gate runs")
+    if cfg.grid.tolerance is None:
+        raise ConfigError("grid.tolerance: gate runs converge the step ladder; null is not allowed")
+    if cfg.grid.t_end is not None:
+        raise ConfigError("grid.t_end: gate runs span the whole pulse support; leave it unset")
     return GateSpec(
         tau=cfg.schedule.tau,
         pulse_delay=cfg.schedule.pulse_delay,
@@ -542,7 +438,7 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
         interaction_shift=cfg.system.interaction_shift,
         t_start=cfg.schedule.t_start,
         base_step=cfg.grid.base_step,
-        tolerance=cfg.grid.tolerance if cfg.grid.tolerance is not None else 1e-8,
+        tolerance=cfg.grid.tolerance,
         sample_stride=cfg.grid.sample_stride,
     )
 
@@ -566,6 +462,8 @@ def _run_gate(cfg: ExperimentConfig) -> GateReport:
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
+    if value is None:
+        return ""
     v = float(value)
     if math.isnan(v):
         return ""
@@ -617,7 +515,7 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(out_dir: str, command: str, canonical: dict,
-                    outputs: list[str], started: float) -> str:
+                    outputs: list[str], started: float) -> None:
     manifest = {
         "version": __version__,
         "command": command,
@@ -627,9 +525,7 @@ def _write_manifest(out_dir: str, command: str, canonical: dict,
         "outputs": {name: _sha256(os.path.join(out_dir, name)) for name in outputs},
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, manifest)
-    return path
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _dump_resolved_config(out_dir: str, canonical: dict) -> None:
@@ -652,30 +548,9 @@ def _prepare(args) -> tuple[dict, ExperimentConfig, str]:
     return raw, cfg, out_dir
 
 
-def _convergence_payload(report) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "requested_step": report.requested_step,
-        "initial_step": report.initial_step,
-        "steps": list(report.steps),
-        "distances": list(report.distances),
-        "accepted_step": report.accepted_step,
-        "tolerance": report.tolerance,
-        "halvings": report.halvings,
-        "norm_drift": report.norm_drift,
-        "clamped": report.clamped,
-    }
-
-
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    _, cfg, out_dir = _prepare(args)
-    canonical = config_to_dict(cfg)
-    traj, report = _run_trajectory(cfg)
+def _summary_payload(traj, report) -> dict:
     labels = traj.basis_labels
-    _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    summary = {
+    return {
         "basis": list(labels),
         "terminal_populations": dict(zip(labels, traj.populations[-1])),
         "terminal_phases": dict(zip(labels, traj.phases[-1])),
@@ -684,17 +559,41 @@ def cmd_simulate(args) -> int:
         "norm_drift": traj.norm_drift,
         "step": traj.step,
         "n_steps": traj.n_steps,
-        "convergence": _convergence_payload(report),
+        "convergence": None if report is None else asdict(report),
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+
+
+def _gate_payload(report: GateReport) -> dict:
+    return {
+        "kind": report.kind,
+        "qubit_labels": list(report.qubit_labels),
+        "unitary": {"real": report.unitary.real, "imag": report.unitary.imag},
+        "target": {"real": report.target.real, "imag": report.target.imag},
+        "fidelity": report.fidelity,
+        "leakage": report.leakage,
+        "phase": report.phase,
+        "predicted_phase": report.predicted_phase,
+        "max_excited_population": report.max_excited_population,
+        "schedule": asdict(report.schedule),
+        "convergence": asdict(report.convergence),
+        "note": report.note,
+    }
+
+
+def cmd_simulate(args) -> int:
+    started = time.monotonic()
+    _, cfg, out_dir = _prepare(args)
+    canonical = config_to_dict(cfg)
+    traj, report = _run_trajectory(cfg)
+    _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
+    _write_json(os.path.join(out_dir, "summary.json"), _summary_payload(traj, report))
     _dump_resolved_config(out_dir, canonical)
     _write_manifest(
         out_dir, "simulate", canonical,
         ["trajectory.csv", "summary.json", "resolved_config.yaml"], started,
     )
-    step = report.accepted_step if report else traj.step
     print(
-        f"simulate: {len(traj.times)} samples, step {step:.3e}, "
+        f"simulate: {len(traj.times)} samples, step {traj.step:.3e}, "
         f"norm drift {traj.norm_drift:.3e} -> {out_dir}"
     )
     if args.verbose and report is not None:
@@ -712,26 +611,7 @@ def cmd_gate(args) -> int:
     _, cfg, out_dir = _prepare(args)
     canonical = config_to_dict(cfg)
     report = _run_gate(cfg)
-    payload = {
-        "kind": report.kind,
-        "qubit_labels": list(report.qubit_labels),
-        "unitary": {"real": report.unitary.real, "imag": report.unitary.imag},
-        "target": {"real": report.target.real, "imag": report.target.imag},
-        "fidelity": report.fidelity,
-        "leakage": report.leakage,
-        "phase": report.phase,
-        "predicted_phase": report.predicted_phase,
-        "max_excited_population": report.max_excited_population,
-        "schedule": {
-            "tau": report.schedule.tau,
-            "pulse_delay": report.schedule.pulse_delay,
-            "sequence_delay": report.schedule.sequence_delay,
-            "t_start": report.schedule.t_start,
-        },
-        "convergence": _convergence_payload(report.convergence),
-        "note": report.note,
-    }
-    _write_json(os.path.join(out_dir, "gate.json"), payload)
+    _write_json(os.path.join(out_dir, "gate.json"), _gate_payload(report))
     _dump_resolved_config(out_dir, canonical)
     _write_manifest(out_dir, "gate", canonical, ["gate.json", "resolved_config.yaml"], started)
     print(
@@ -745,13 +625,8 @@ def cmd_gate(args) -> int:
     return 0
 
 
-_GATE_SWEEP_FIELDS = (
-    "fidelity",
-    "phase",
-    "predicted_phase",
-    "leakage",
-    "max_excited_population",
-)
+# gate.json fields that a gate sweep tabulates
+_GATE_SWEEP_FIELDS = ("fidelity", "phase", "predicted_phase", "leakage", "max_excited_population")
 
 
 def _sweep_columns(cfg: ExperimentConfig) -> list[str]:
@@ -759,7 +634,7 @@ def _sweep_columns(cfg: ExperimentConfig) -> list[str]:
     if cfg.gate is not None:
         columns += list(_GATE_SWEEP_FIELDS)
     else:
-        labels = _labels_for(cfg.system.kind)
+        labels = _SYSTEM_LABELS[cfg.system.kind]
         columns += [f"pop_{lb}" for lb in labels]
         columns += [f"phase_{lb}" for lb in labels]
         columns += ["norm_drift", "step"]
@@ -776,21 +651,15 @@ def _sweep_point(payload: tuple[dict, list[tuple[str, float]]]) -> dict:
             apply_override(raw, f"{path}={value!r}")
         cfg = parse_config(raw)
         if cfg.gate is not None:
-            report = _run_gate(cfg)
-            row["fidelity"] = report.fidelity
-            row["phase"] = math.nan if report.phase is None else report.phase
-            row["predicted_phase"] = (
-                math.nan if report.predicted_phase is None else report.predicted_phase
-            )
-            row["leakage"] = report.leakage
-            row["max_excited_population"] = report.max_excited_population
+            gate = _gate_payload(_run_gate(cfg))
+            row.update((name, gate[name]) for name in _GATE_SWEEP_FIELDS)
         else:
-            traj, report = _run_trajectory(cfg)
-            for k, lb in enumerate(traj.basis_labels):
-                row[f"pop_{lb}"] = float(traj.populations[-1, k])
-                row[f"phase_{lb}"] = float(traj.phases[-1, k])
-            row["norm_drift"] = traj.norm_drift
-            row["step"] = report.accepted_step if report else traj.step
+            summary = _summary_payload(*_run_trajectory(cfg))
+            for lb in summary["basis"]:
+                row[f"pop_{lb}"] = summary["terminal_populations"][lb]
+                row[f"phase_{lb}"] = summary["terminal_phases"][lb]
+            row["norm_drift"] = summary["norm_drift"]
+            row["step"] = summary["step"]
         row["error"] = ""
     except (ConfigError, IntegrationQualityError, LeakageError, ValueError) as exc:
         row["error"] = str(exc)
@@ -938,23 +807,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_sim = sub.add_parser("simulate", help="propagate one initial state and dump the trajectory")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_gate = sub.add_parser("gate", help="run a gate construction and report its quality")
-    _add_common(p_gate)
-    p_gate.set_defaults(func=cmd_gate)
-
-    p_sweep = sub.add_parser("sweep", help="grid-scan config parameters and tabulate outcomes")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_phase = sub.add_parser("phase", help="quadrature phase predictions without propagation")
-    _add_common(p_phase)
-    p_phase.set_defaults(func=cmd_phase)
-
+    for name, func, text in (
+        ("simulate", cmd_simulate, "propagate one initial state and dump the trajectory"),
+        ("gate", cmd_gate, "run a gate construction and report its quality"),
+        ("sweep", cmd_sweep, "grid-scan config parameters and tabulate outcomes"),
+        ("phase", cmd_phase, "quadrature phase predictions without propagation"),
+    ):
+        command = sub.add_parser(name, help=text)
+        _add_common(command)
+        command.set_defaults(func=func)
     return parser
 
 

@@ -56,15 +56,26 @@ class GateSpec:
         )
 
     def grid(self, schedule: StirapSchedule) -> TimeGrid:
-        # Default step resolves the pulse shape; the convergence ladder
-        # owns accuracy, this is only its starting rung.
-        step = self.base_step if self.base_step is not None else self.tau / 200.0
-        return TimeGrid(
-            t_start=schedule.t_start,
-            t_end=schedule.support_end,
-            base_step=step,
-            sample_stride=self.sample_stride,
-        )
+        return schedule_grid(schedule, self.base_step, self.sample_stride)
+
+
+def schedule_grid(
+    schedule: StirapSchedule,
+    base_step: float | None,
+    sample_stride: int,
+    t_end: float | None = None,
+) -> TimeGrid:
+    """Starting grid over the schedule, by default its whole pulse support.
+
+    The default step, tau/200, resolves the pulse shape; the convergence
+    ladder owns accuracy, this is only its starting rung.
+    """
+    return TimeGrid(
+        t_start=schedule.t_start,
+        t_end=schedule.support_end if t_end is None else t_end,
+        base_step=schedule.tau / 200.0 if base_step is None else base_step,
+        sample_stride=sample_stride,
+    )
 
 
 @dataclass(frozen=True)

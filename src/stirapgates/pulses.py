@@ -231,7 +231,7 @@ class MixingProfile:
         peak_pump: float = 1.0,
         peak_stokes: float = 1.0,
     ) -> None:
-        if peak_pump <= 0.0 or peak_stokes <= 0.0:
+        if not (peak_pump > 0.0 and peak_stokes > 0.0):
             raise ValueError("peak amplitudes must be positive")
         self.schedule = schedule
         self._pump = DriveField(

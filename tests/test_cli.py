@@ -1,15 +1,20 @@
 """Command-line workflows: config parsing, outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from stirapgates.cli import (
     ConfigError,
+    ExperimentConfig,
     apply_override,
     config_to_dict,
     load_config,
@@ -18,6 +23,7 @@ from stirapgates.cli import (
 )
 
 PHASE_TARGET = -math.pi / 2.0
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def minimal_raw():
@@ -180,6 +186,51 @@ def test_parse_accepts_integral_floats_as_integers():
         parse_config(raw)
 
 
+def test_sweep_axis_must_name_a_scalar_config_field(tmp_path, capsys):
+    raw = simulate_raw()
+    bad = ("schedule.tua", "schedule", "drives.peak_rabi", "drives.2.peak_rabi", "gate.peak_rabi")
+    for parameter in bad:
+        raw["sweep"] = {"axes": [{"parameter": parameter, "start": 1, "stop": 2, "points": 2}]}
+        with pytest.raises(ConfigError, match=r"sweep\.axes\.0\.parameter: .*no scalar"):
+            parse_config(raw)
+    raw["sweep"]["axes"][0]["parameter"] = "drives.1.peak_rabi"
+    assert parse_config(raw).sweep_axes[0].parameter == "drives.1.peak_rabi"
+
+    raw["sweep"]["axes"][0]["parameter"] = "schedule.tua"
+    out = tmp_path / "run"
+    rc = main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert rc == 1
+    assert "sweep.axes.0.parameter" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def _schema_paths(cls, prefix=""):
+    paths = set()
+    for spec in dataclasses.fields(cls):
+        section = spec.metadata.get("section")
+        name = prefix + spec.name
+        paths |= _schema_paths(section, name + ".") if section else {name}
+    return paths
+
+
+def _raw_paths(node, prefix=""):
+    if isinstance(node, list):
+        return set().union(*(_raw_paths(item, prefix) for item in node))
+    if not isinstance(node, dict):
+        return {prefix[:-1]}
+    return set().union(*(_raw_paths(v, f"{prefix}{k}.") for k, v in node.items()))
+
+
+def test_readme_schema_block_matches_the_schema():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration schema", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    parse_config(raw)
+    # list entries are listed without their index: drives.level, sweep.axes.start
+    assert _raw_paths(raw) == _schema_paths(ExperimentConfig)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -279,6 +330,15 @@ def test_gate_run_reports_quality(tmp_path):
     assert abs(payload["phase"] - PHASE_TARGET) < 2e-3
     assert payload["unitary"]["real"][0][0] == 1.0
     assert payload["schedule"]["sequence_delay"] == 4.0
+
+
+def test_gate_run_rejects_grid_settings_it_cannot_honour(tmp_path, capsys):
+    for grid, path in (({"tolerance": None}, "grid.tolerance"), ({"t_end": 20.0}, "grid.t_end")):
+        raw = gate_raw()
+        raw["grid"].update(grid)
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["gate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
 
 
 def test_single_point_sweep_matches_the_gate_run(tmp_path):
@@ -419,3 +479,29 @@ def test_version_flag_exits_cleanly(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "stirapgates" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# benchmark contract
+
+
+def test_setup_probe_reads_every_shipped_config(tmp_path):
+    """perfbench/setup_probe.py parses configs through this module and reads
+    cfg.system, cfg.schedule, cfg.drives[i] and cfg.gate.peak_rabi."""
+    ops = [
+        {"config": str(path), "overrides": []}
+        for path in sorted((REPO / "configs").glob("*.yaml"))
+    ]
+    ops.append(
+        {"config": str(REPO / "configs" / "dark_transport.yaml"),
+         "overrides": ["drives.1.phase_slope=0.3"]}
+    )
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps(ops), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "setup_probe.py"), str(REPO / "src"),
+         str(ops_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout.strip()) > 0.0

@@ -254,5 +254,6 @@ def test_mixing_profile_scale_invariance():
 
 def test_mixing_profile_rejects_zero_peaks():
     sched = build_schedule(1.0, 1.0, 5.0)
-    with pytest.raises(ValueError, match="positive"):
-        MixingProfile(sched, peak_pump=0.0)
+    for peaks in ({"peak_pump": 0.0}, {"peak_pump": math.nan}, {"peak_stokes": math.nan}):
+        with pytest.raises(ValueError, match="positive"):
+            MixingProfile(sched, **peaks)
