@@ -672,6 +672,8 @@ def cmd_sweep(args) -> int:
     canonical = config_to_dict(cfg)
     if not cfg.sweep_axes:
         raise ConfigError("sweep: section with at least one axis is required")
+    if cfg.gate is not None:
+        _gate_spec(cfg)  # every row runs a gate: reject its grid settings once, up front
     axes_values = [
         np.linspace(axis.start, axis.stop, axis.points) for axis in cfg.sweep_axes
     ]

@@ -218,6 +218,27 @@ def wz_hamiltonian(theta_2: float, interaction_shift: float) -> np.ndarray:
     return -1j * wz_connection(theta_2, interaction_shift)[4:6, 4:6]
 
 
+class _TransportLaw:
+    """Dark-pair generator as a model: the weight is evaluated once per time block."""
+
+    basis_labels = _WZ_LABELS
+
+    def __init__(self, weight, interaction_shift: float):
+        self._weight = weight
+        self._shift = interaction_shift
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        r = self._weight(np.atleast_1d(times))
+        q = 1.0 - r
+        off = self._shift * r * q / np.sqrt(2.0)
+        out = np.empty((r.size, 2, 2), dtype=complex)
+        out[:, 0, 0] = self._shift * r * r
+        out[:, 0, 1] = off
+        out[:, 1, 0] = off
+        out[:, 1, 1] = 0.5 * self._shift * q * q
+        return out
+
+
 @dataclass(frozen=True)
 class WzResult:
     """Outcome of transporting the doubly-excited dark-state pair."""
@@ -250,18 +271,9 @@ def wz_propagate(
     ``two_qubit_phase``.
     """
     weight, a, b, _ = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
-    shift = interaction_shift
-
-    def model(t: float) -> np.ndarray:
-        r = float(weight(np.array([t]))[0])
-        q = 1.0 - r
-        off = shift * r * q / np.sqrt(2.0)
-        return np.array(
-            [[shift * r * r, off], [off, 0.5 * shift * q * q]], dtype=complex
-        )
-
     grid = TimeGrid(t_start=a, t_end=b, base_step=base_step, sample_stride=sample_stride)
     start = StateVector(np.array([1.0, 0.0], dtype=complex), _WZ_LABELS)
+    model = _TransportLaw(weight, interaction_shift)
     (traj,), report = converge_many(model, [start], grid, tolerance=tolerance)
 
     mixing = traj.populations[:, 1]

@@ -341,6 +341,19 @@ def test_gate_run_rejects_grid_settings_it_cannot_honour(tmp_path, capsys):
         assert f"error: {path}:" in capsys.readouterr().err
 
 
+def test_gate_sweep_rejects_grid_settings_before_any_row_runs(tmp_path, capsys):
+    raw = gate_raw()
+    raw["grid"]["tolerance"] = None
+    raw["sweep"] = {
+        "axes": [{"parameter": "gate.peak_rabi", "start": 300.0, "stop": 320.0, "points": 2}]
+    }
+    out = tmp_path / "run"
+    rc = main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert rc == 1
+    assert "error: grid.tolerance:" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_single_point_sweep_matches_the_gate_run(tmp_path):
     raw = gate_raw(peak=314.0)
     out_gate = tmp_path / "gate"

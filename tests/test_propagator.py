@@ -7,12 +7,18 @@ import pytest
 
 from stirapgates import (
     LAMBDA_LABELS,
+    TWO_ATOM_LABELS,
     ConvergenceError,
+    DriveField,
     MixingProfile,
     IntegrationQualityError,
     LambdaSystem,
     NORM_DRIFT_LIMIT,
+    PhaseRamp,
+    StateVector,
     TimeGrid,
+    TripodSystem,
+    TwoAtomSystem,
     adiabaticity_report,
     basis_state,
     build_schedule,
@@ -64,6 +70,13 @@ def test_grid_validation():
         TimeGrid(t_start=0.0, t_end=1.0, base_step=0.0, sample_stride=1)
     with pytest.raises(ValueError):
         TimeGrid(t_start=0.0, t_end=1.0, base_step=0.1, sample_stride=0)
+    for stride in (True, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample_stride"):
+            TimeGrid(t_start=0.0, t_end=1.0, base_step=0.1, sample_stride=stride)
+    # an integral float is stored as an int, so the sample indices stay integers
+    grid = TimeGrid(t_start=0.0, t_end=1.0, base_step=0.1, sample_stride=2.0)
+    assert type(grid.sample_stride) is int
+    assert grid.sample_indices().dtype.kind == "i"
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +215,80 @@ def test_extract_observables_mirrors_the_trajectory():
     pops, phases = extract_observables(traj)
     assert np.allclose(pops, traj.populations, equal_nan=True)
     assert np.allclose(phases, traj.phases, equal_nan=True)
+
+
+def _staged_rk4(sample, block: np.ndarray, grid: TimeGrid):
+    """Reference RK4 with four stages per step, for checking the transfer matrices.
+
+    Returns the sampled (n_samples, dim, width) states, the per-step
+    maximum populations and the largest norm drift over every step.
+    """
+    h = grid.step
+    stack = -1j * h * sample(grid.t_start + 0.5 * h * np.arange(2 * grid.n_steps + 1))
+    psi = block.astype(complex)
+    states = [psi]
+    for i in range(grid.n_steps):
+        b0, b1, b2 = stack[2 * i], stack[2 * i + 1], stack[2 * i + 2]
+        k1 = b0 @ psi
+        k2 = b1 @ (psi + 0.5 * k1)
+        k3 = b1 @ (psi + 0.5 * k2)
+        k4 = b2 @ (psi + k3)
+        psi = psi + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        states.append(psi)
+    states = np.array(states)
+    pops = np.abs(states) ** 2
+    drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
+    return states[grid.sample_indices()], pops.max(axis=0), drift
+
+
+def _cross_check_cases():
+    sched = build_schedule(2.0, 0.8, 8.0)
+    pump, stokes = sequence_fields(
+        sched, 300.0, 300.0, "q", "s", stokes_phase=PhaseRamp(kind="linear", slope=0.2)
+    )
+    lam = LambdaSystem(pump=pump, stokes=stokes).model()
+    tripod = TripodSystem(drives={
+        "0": DriveField("0", sched.pump_envelopes(120.0), PhaseRamp(kind="constant", offset=1.0)),
+        "1": DriveField("1", sched.pump_envelopes(300.0)),
+        "2": DriveField("2", sched.stokes_envelopes(320.0), PhaseRamp(kind="linear", slope=0.4)),
+    }).model()
+    pair = TwoAtomSystem(drives={
+        "1": DriveField("1", sched.pump_envelopes(160.0)),
+        "2": DriveField("2", sched.stokes_envelopes(160.0)),
+    }, interaction_shift=0.05).model()
+    ham = 40.0 * SIGMA_X + np.diag([0.0, 3.0]).astype(complex)
+
+    def chirped(t):
+        return math.cos(2.0 * t) * ham
+
+    half = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    return sched.t_a, {
+        "lambda d3 w1": (lam, lam.sample, [basis_state(LAMBDA_LABELS, "q")]),
+        "tripod d4 w2": (tripod, tripod.sample,
+                         [basis_state(tripod.basis_labels, lv) for lv in ("0", "1")]),
+        "pair d16 w4": (pair, pair.sample,
+                        [basis_state(TWO_ATOM_LABELS, lv) for lv in ("00", "01", "10", "11")]),
+        "callable d2 w2": (chirped, lambda times: np.stack([chirped(t) for t in times]),
+                           [basis_state(LABELS2, "0"), StateVector(half, LABELS2)]),
+    }
+
+
+def test_transfer_matrices_match_a_staged_rk4():
+    """Across chunk boundaries, with a stride that does not divide the chunk."""
+    t_on, cases = _cross_check_cases()
+    # 2500 steps: more than two 1024-step chunks and not a multiple of one
+    grid = TimeGrid(t_on, t_on + 0.5, 2e-4, sample_stride=7)
+    assert grid.n_steps == 2500
+    for name, (model, sample, starts) in cases.items():
+        trajs = propagate_many(model, starts, grid, check_quality=False)
+        block = np.stack([st.amplitudes for st in starts], axis=1)
+        states, max_pops, drift = _staged_rk4(sample, block, grid)
+        for j, traj in enumerate(trajs):
+            assert np.max(np.abs(traj.states - states[:, :, j])) < 1e-12, name
+            assert np.max(np.abs(traj.max_populations - max_pops[:, j])) < 1e-12, name
+            assert abs(traj.norm_drift - drift) < 1e-12, name
+        # the drive does something on this stretch, so the check has teeth
+        assert np.max(np.abs(states[-1] - block)) > 0.1, name
 
 
 # ---------------------------------------------------------------------------
