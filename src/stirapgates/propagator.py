@@ -3,11 +3,13 @@
 The integrator is the classical fourth-order Runge-Kutta scheme on a
 uniform grid. The scheme is linear in the state, so each step is one
 transfer matrix, built for a whole chunk of steps at once from the sampled
-Hamiltonians; the steps then cost one matrix-vector product each. Norm
-drift and maximum populations still cover every step, not just the
-sampled ones. The state is never renormalized; the norm defect is a
-diagnostic that reports integration quality, and ``converge_many`` halves
-the step until successive terminal states agree. Phases are unwrapped along
+Hamiltonians; the steps then cost one matrix-vector product each. Where
+every drive is off and the static part is diagonal, the transfer matrix is
+a fixed per-level factor, so such runs of steps are filled with its powers
+without sampling. Norm drift and maximum populations still cover every
+step, not just the sampled ones. The state is never renormalized; the norm
+defect is a diagnostic that reports integration quality, and
+``converge_many`` halves the step until successive terminal states agree. Phases are unwrapped along
 the time axis only while a level is populated; across depopulated gaps the
 last defined value is frozen and unwrapping resumes relative to it.
 """
@@ -20,12 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import POPULATION_FLOOR, StateVector, principal_angle
+from .systems import HamiltonianModel
 
 NORM_DRIFT_LIMIT = 1e-6
 
 _MAX_HALVINGS = 10
 _STABILITY_FACTOR = 0.8
+# A chunk holds at most _CHUNK_STEPS steps and _CHUNK_ENTRIES transfer-matrix
+# entries: 128 steps at dim 16. Small dim-16 buffers keep the heap from
+# fragmenting when idle runs cut the driven runs to varying lengths.
 _CHUNK_STEPS = 1024
+_CHUNK_ENTRIES = 2**15
 
 
 class IntegrationQualityError(RuntimeError):
@@ -148,18 +155,6 @@ class Trajectory:
         return float(self.phases[-1, self.level_index(level)])
 
 
-class _ConstantModel:
-    def __init__(self, matrix: np.ndarray, labels: tuple[str, ...]):
-        self.basis_labels = labels
-        self._matrix = np.asarray(matrix, dtype=complex)
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(times)
-        return np.broadcast_to(
-            self._matrix, (times.size, *self._matrix.shape)
-        ).copy()
-
-
 class _CallableModel:
     def __init__(self, func, labels: tuple[str, ...]):
         self.basis_labels = labels
@@ -193,7 +188,7 @@ def _as_model(hamiltonian, labels):
     if isinstance(hamiltonian, np.ndarray):
         if labels is None:
             labels = tuple(str(i) for i in range(hamiltonian.shape[0]))
-        return _ConstantModel(hamiltonian, labels)
+        return HamiltonianModel(labels, hamiltonian, [])
     if callable(hamiltonian):
         if labels is None:
             raise ValueError("a bare callable Hamiltonian needs the state to supply labels")
@@ -217,16 +212,42 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     return m
 
 
+def _idle_steps(model, nodes: np.ndarray, h: float, chunk_steps: int):
+    """Mask of the steps whose three RK4 nodes are drive-free, and the factor powers.
+
+    A step is idle when the model reports every drive off at t, t+h/2 and
+    t+h and its static part is diagonal; its transfer matrix is then the
+    diagonal RK4 factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k].
+    The second value holds the factor's powers 1 to ``chunk_steps`` with
+    shape (chunk_steps, dim, 1), or None when the model has no diagonal
+    static part. Models without ``drive_free`` are never idle.
+    """
+    free, diagonal = model.drive_free(nodes) if hasattr(model, "drive_free") else (None, None)
+    if diagonal is None:
+        return np.zeros((nodes.size - 1) // 2, dtype=bool), None
+    z = -1j * h * diagonal
+    factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, factor.size)), axis=0)
+    return free[0:-1:2] & free[1::2] & free[2::2], powers[:, :, None]
+
+
 def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
-    """RK4 over a (dim, n_states) amplitude block, one transfer matrix per step."""
+    """RK4 over a (dim, n_states) amplitude block.
+
+    A driven step applies its own transfer matrix. A run of idle steps (see
+    ``_idle_steps``) applies the same diagonal factor every step, so its
+    states are the run's first state times the factor's powers and the
+    Hamiltonian is not sampled there.
+    """
     h = grid.step
     n = grid.n_steps
     t0 = grid.t_start
     sample_idx = grid.sample_indices()
     dim, width = psi0.shape
+    chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // dim**2)
 
     samples = np.empty((sample_idx.size, dim, width), dtype=complex)
-    out = np.empty((min(_CHUNK_STEPS, n) + 1, dim, width), dtype=complex)
+    out = np.empty((min(chunk_steps, n) + 1, dim, width), dtype=complex)
     out[0] = psi0
     samples[0] = psi0
     max_pops = np.abs(out[0]) ** 2
@@ -234,17 +255,24 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
 
     done = 0
     while done < n:
-        chunk = min(_CHUNK_STEPS, n - done)
-        stack = model.sample(t0 + h * (done + 0.5 * np.arange(2 * chunk + 1)))
-        stack *= -1j * h
-        for m, psi, nxt in zip(_rk4_transfer(stack), out, out[1:]):
-            np.matmul(m, psi, out=nxt)
+        chunk = min(chunk_steps, n - done)
+        nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
+        idle, powers = _idle_steps(model, nodes, h, chunk_steps)
+        edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
+        for a, b in zip(edges, edges[1:]):
+            if idle[a]:
+                np.multiply(powers[:b - a], out[a], out=out[a + 1:b + 1])
+                continue
+            stack = model.sample(nodes[2 * a:2 * b + 1])
+            stack *= -1j * h
+            for m, psi, nxt in zip(_rk4_transfer(stack), out[a:b], out[a + 1:b + 1]):
+                np.matmul(m, psi, out=nxt)
 
         pops = np.abs(out[1:chunk + 1]) ** 2
         np.maximum(max_pops, pops.max(axis=0), out=max_pops)
         drift = max(drift, float(np.max(np.abs(pops.sum(axis=1) - 1.0))))
-        hit = (sample_idx > done) & (sample_idx <= done + chunk)
-        samples[hit] = out[sample_idx[hit] - done]
+        lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
+        samples[lo:hi] = out[sample_idx[lo:hi] - done]
         out[0] = out[chunk]
         done += chunk
 
@@ -367,8 +395,17 @@ class ConvergenceReport:
 
 
 def _stability_step(model, grid: TimeGrid) -> float:
-    """Largest step the ladder may start from, by an infinity-norm scan."""
-    probes = np.linspace(grid.t_start, grid.t_end, 257)
+    """Largest step the ladder may start from, by an infinity-norm scan.
+
+    The scan probes 257 uniform times plus the peak of every drive envelope
+    the model carries, so a pulse narrower than the probe spacing still
+    counts.
+    """
+    peaks = [env.t_on + env.tau for fld in getattr(model, "fields", ()) for env in fld.envelopes]
+    probes = np.concatenate((
+        np.linspace(grid.t_start, grid.t_end, 257),
+        [t for t in peaks if grid.t_start <= t <= grid.t_end],
+    ))
     stack = model.sample(probes)
     norm = float(np.max(np.sum(np.abs(stack), axis=2)))
     if norm == 0.0:

@@ -45,7 +45,8 @@ class HamiltonianModel:
 
     Stores constant Hermitian matrices with real scalar coefficient
     functions so a whole block of time samples can be assembled with one
-    matrix product. This is the propagator's fast path.
+    matrix product. This is the propagator's fast path. With no couplings
+    the model is the constant matrix ``static``.
     """
 
     def __init__(
@@ -60,7 +61,9 @@ class HamiltonianModel:
         self._static = np.asarray(static, dtype=complex)
         if self._static.shape != (dim, dim):
             raise ValueError("static part has the wrong shape")
-        self._fields = [fld for fld, _, _ in couplings]
+        self.fields = tuple(fld for fld, _, _ in couplings)
+        off_diagonal = self._static - np.diag(np.diag(self._static))
+        self._static_diagonal = None if off_diagonal.any() else np.diag(self._static).copy()
         mats = [self._static]
         for _, m_cos, m_sin in couplings:
             mats.append(np.asarray(m_cos, dtype=complex))
@@ -69,14 +72,24 @@ class HamiltonianModel:
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        coeffs = np.empty((times.size, 1 + 2 * len(self._fields)), dtype=float)
+        coeffs = np.empty((times.size, 1 + 2 * len(self.fields)), dtype=float)
         coeffs[:, 0] = 1.0
-        for k, fld in enumerate(self._fields):
+        for k, fld in enumerate(self.fields):
             amp = np.asarray(fld.amplitude(times), dtype=float)
             phase = np.asarray(fld.phase.value(times), dtype=float)
             coeffs[:, 1 + 2 * k] = amp * np.cos(phase)
             coeffs[:, 2 + 2 * k] = amp * np.sin(phase)
         return coeffs
+
+    def drive_free(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Where every drive coefficient is exactly zero, and the static diagonal.
+
+        Returns a boolean mask over ``times`` and the diagonal of the static
+        part, or None when that part has off-diagonal entries. Where the mask
+        holds and the diagonal is given, H(t) is that constant diagonal.
+        """
+        free = ~np.any(self.coefficients(times)[:, 1:] != 0.0, axis=1)
+        return free, self._static_diagonal
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Hamiltonian stack of shape (len(times), dim, dim)."""

@@ -40,6 +40,8 @@ from stirapgates import (
     wz_propagate,
 )
 
+pytestmark = pytest.mark.acceptance
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 UNIT_FILES = [

@@ -7,14 +7,17 @@ import pytest
 
 from stirapgates import (
     LAMBDA_LABELS,
+    TRIPOD_LABELS,
     TWO_ATOM_LABELS,
     ConvergenceError,
     DriveField,
+    HamiltonianModel,
     MixingProfile,
     IntegrationQualityError,
     LambdaSystem,
     NORM_DRIFT_LIMIT,
     PhaseRamp,
+    PulseEnvelope,
     StateVector,
     TimeGrid,
     TripodSystem,
@@ -289,6 +292,128 @@ def test_transfer_matrices_match_a_staged_rk4():
             assert abs(traj.norm_drift - drift) < 1e-12, name
         # the drive does something on this stretch, so the check has teeth
         assert np.max(np.abs(states[-1] - block)) > 0.1, name
+
+
+def _hold_cases():
+    """Drives on either side of a hold, with detuning and pair shift so the held levels wind.
+
+    The tripod also gets a pulse inside the hold that is narrower than the
+    test grids' step: on them only the middle node of one step sees it.
+    """
+    sched = build_schedule(2.0, 0.8, 8.0)
+    tripod = TripodSystem(drives={
+        "0": DriveField("0", (PulseEnvelope(2000.0, 5e-4, t_on=7.6004),)),
+        "1": DriveField("1", sched.pump_envelopes(300.0)),
+        "2": DriveField("2", sched.stokes_envelopes(320.0), PhaseRamp(kind="linear", slope=0.4)),
+    }, detuning=2.0).model()
+    pair = TwoAtomSystem(drives={
+        "1": DriveField("1", sched.pump_envelopes(160.0)),
+        "2": DriveField("2", sched.stokes_envelopes(160.0)),
+    }, detuning=2.0, interaction_shift=0.5).model()
+    half = np.zeros(4, dtype=complex)
+    half[[0, 1]] = 1.0 / math.sqrt(2.0)
+    return sched, {
+        "tripod d4 w2": (tripod, [basis_state(TRIPOD_LABELS, "1"),
+                                  StateVector(half, TRIPOD_LABELS)]),
+        "pair d16 w4": (pair, [basis_state(TWO_ATOM_LABELS, lv)
+                               for lv in ("00", "01", "11", "22")]),
+    }
+
+
+def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
+    """Steps whose three RK4 nodes are all drive-free."""
+    nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
+    free, diagonal = model.drive_free(nodes)
+    assert diagonal is not None and np.any(diagonal != 0.0)
+    return free[0:-1:2] & free[1::2] & free[2::2]
+
+
+def _longest_run(mask: np.ndarray) -> int:
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
+    return int(np.max(edges[1::2] - edges[0::2]))
+
+
+@pytest.mark.parametrize("span, idle_end", [
+    ((4.0, 8.6), None),      # drive -> hold -> drive
+    ((5.0, 8.6), "first"),   # the grid starts inside the hold
+    ((4.0, 7.0), "last"),    # the grid ends inside the hold
+])
+def test_idle_runs_match_a_staged_rk4(span, idle_end):
+    """Drive-free steps (diagonal factor powers) agree with stepping them one by one."""
+    sched, cases = _hold_cases()
+    assert sched.hold_interval == (4.8, 8.0)
+    grid = TimeGrid(span[0], span[1], 2e-3, sample_stride=7)
+    for name, (model, starts) in cases.items():
+        idle = _idle_mask(model, grid)
+        # one idle run is longer than any chunk, so it crosses a chunk boundary
+        assert _longest_run(idle) > 1024, name
+        assert not idle.all(), name
+        if idle_end == "first":
+            assert idle[0], name
+        if idle_end == "last":
+            assert idle[-1], name
+        trajs = propagate_many(model, starts, grid, check_quality=False)
+        block = np.stack([st.amplitudes for st in starts], axis=1)
+        states, max_pops, drift = _staged_rk4(model.sample, block, grid)
+        for j, traj in enumerate(trajs):
+            assert np.max(np.abs(traj.states - states[:, :, j])) < 1e-12, name
+            assert np.max(np.abs(traj.max_populations - max_pops[:, j])) < 1e-12, name
+            assert abs(traj.norm_drift - drift) < 1e-12, name
+
+
+class _CountingModel(HamiltonianModel):
+    """The same Hamiltonian, recording every batch of times it is sampled at."""
+
+    def __init__(self, model: HamiltonianModel):
+        vars(self).update(vars(model))
+        self.sampled: list[np.ndarray] = []
+
+    def sample(self, times):
+        self.sampled.append(np.array(times, dtype=float))
+        return super().sample(times)
+
+
+def test_idle_steps_are_not_sampled():
+    sched = build_schedule(1.0, 0.8, 20.0)
+    model = TwoAtomSystem(drives={
+        "1": DriveField("1", sched.pump_envelopes(60.0)),
+        "2": DriveField("2", sched.stokes_envelopes(60.0)),
+    }, detuning=0.3, interaction_shift=0.5).model()
+    counting = _CountingModel(model)
+    grid = TimeGrid(sched.t_start, sched.support_end, 5e-3, sample_stride=9)
+    idle = _idle_mask(model, grid)
+    assert idle.mean() > 0.7
+
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11")]
+    counted = propagate_many(counting, starts, grid, check_quality=False)
+    plain = propagate_many(model, starts, grid, check_quality=False)
+    for a, b in zip(counted, plain):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.max_populations, b.max_populations)
+        assert a.norm_drift == b.norm_drift
+
+    # the sampled nodes are exactly the nodes of the driven steps
+    sampled = np.concatenate(counting.sampled)
+    half_steps = np.rint((sampled - grid.t_start) / (0.5 * grid.step)).astype(int)
+    driven = np.flatnonzero(~idle)
+    assert set(half_steps.tolist()) == set((2 * driven[:, None] + np.arange(3)).ravel().tolist())
+
+
+def test_stability_clamp_sees_a_narrow_pulse_on_a_long_grid():
+    """A pulse far narrower than the uniform probe spacing still clamps the first rung.
+
+    The pulse sits between two of the 257 uniform probes, and no node of the
+    unclamped first rung falls inside it.
+    """
+    area = 20.0
+    pulse = PulseEnvelope(area / 0.01, 0.01, t_on=30.1)
+    model = TripodSystem(drives={"0": DriveField("0", (pulse,))}).model()
+    grid = TimeGrid(0.0, 60.0, 0.05, sample_stride=1000)
+    (traj,), report = converge_many(model, [basis_state(TRIPOD_LABELS, "0")], grid, tolerance=1e-5)
+    assert report.clamped
+    assert report.initial_step <= 0.8 / (pulse.omega_max / 2.0)
+    # resonant pulse of area A: population cos^2(A/2) stays behind
+    assert traj.populations[-1, 0] == pytest.approx(math.cos(area / 2.0) ** 2, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

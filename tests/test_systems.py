@@ -10,6 +10,7 @@ from stirapgates import (
     TRIPOD_LABELS,
     TWO_ATOM_LABELS,
     DriveField,
+    HamiltonianModel,
     LambdaSystem,
     PhaseRamp,
     PulseEnvelope,
@@ -126,6 +127,23 @@ def test_model_sample_stacks_pointwise_matrices():
     assert block.shape == (13, 3, 3)
     for k, t in enumerate(times):
         assert np.allclose(block[k], model.matrix(float(t)), atol=1e-14)
+
+
+def test_drive_free_marks_the_hold_and_reports_the_static_diagonal():
+    sched = build_schedule(1.0, 0.5, 4.0)
+    pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s")
+    model = LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3).model()
+    times = np.linspace(-1.0, 8.0, 91)
+    free, diagonal = model.drive_free(times)
+    expected = (pump.amplitude(times) == 0.0) & (stokes.amplitude(times) == 0.0)
+    assert np.array_equal(free, expected)
+    # drive-free before, between and after the sequences, driven during them
+    assert free.any() and not free.all()
+    assert np.array_equal(diagonal, [0.0, -0.3, 0.0])
+    # an off-diagonal static part has no diagonal to report
+    constant = HamiltonianModel(LAMBDA_LABELS, lambda_hamiltonian(1.0, 1.0).matrix, [])
+    free, diagonal = constant.drive_free(times)
+    assert free.all() and diagonal is None
 
 
 # ---------------------------------------------------------------------------
