@@ -493,17 +493,26 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+_CSV_BLOCK_ROWS = 256
+
+
 def _write_trajectory_csv(path: str, traj) -> None:
+    """One row per sample, each value written as ``_fmt`` writes it.
+
+    Rows are formatted a block at a time from the repr of the block's
+    nested list: float repr is what ``_fmt`` uses, "nan" becomes the empty
+    field, and the list punctuation becomes commas and newlines. Only one
+    block is ever stacked, so memory does not grow with the trajectory.
+    """
     labels = traj.basis_labels
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["t"] + [f"pop_{lb}" for lb in labels] + [f"phase_{lb}" for lb in labels]
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            row += [_fmt(p) for p in traj.populations[i]]
-            row += [_fmt(p) for p in traj.phases[i]]
-            writer.writerow(row)
+        writer.writerow(["t"] + [f"pop_{lb}" for lb in labels] + [f"phase_{lb}" for lb in labels])
+        for lo in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            block = np.column_stack((traj.times[rows], traj.populations[rows], traj.phases[rows]))
+            text = repr(block.tolist())[2:-2]
+            fh.write(text.replace("], [", "\n").replace("nan", "").replace(", ", ",") + "\n")
 
 
 def _sha256(path: str) -> str:

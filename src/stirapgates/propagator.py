@@ -165,23 +165,6 @@ class _CallableModel:
         return np.stack([np.asarray(self._func(float(t)), dtype=complex) for t in times])
 
 
-class _ReversedModel:
-    """Generator for running a finished evolution backwards in time."""
-
-    def __init__(self, model, t_start: float, t_end: float):
-        self.basis_labels = model.basis_labels
-        self._model = model
-        self._pivot = t_start + t_end
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        return -self._model.sample(self._pivot - np.atleast_1d(np.asarray(times, dtype=float)))
-
-
-def time_reversed(model, t_start: float, t_end: float) -> _ReversedModel:
-    """Model whose propagation over [t_start, t_end] undoes the original's."""
-    return _ReversedModel(_as_model(model, None), t_start, t_end)
-
-
 def _as_model(hamiltonian, labels):
     if hasattr(hamiltonian, "sample") and hasattr(hamiltonian, "basis_labels"):
         return hamiltonian
@@ -212,7 +195,7 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     return m
 
 
-def _idle_steps(model, nodes: np.ndarray, h: float, chunk_steps: int):
+def _idle_steps(model, nodes: np.ndarray, coeffs, h: float, chunk_steps: int):
     """Mask of the steps whose three RK4 nodes are drive-free, and the factor powers.
 
     A step is idle when the model reports every drive off at t, t+h/2 and
@@ -220,9 +203,12 @@ def _idle_steps(model, nodes: np.ndarray, h: float, chunk_steps: int):
     diagonal RK4 factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k].
     The second value holds the factor's powers 1 to ``chunk_steps`` with
     shape (chunk_steps, dim, 1), or None when the model has no diagonal
-    static part. Models without ``drive_free`` are never idle.
+    static part. ``coeffs`` holds the model's drive coefficients at the
+    nodes; a model without them (None) is never idle.
     """
-    free, diagonal = model.drive_free(nodes) if hasattr(model, "drive_free") else (None, None)
+    diagonal = None
+    if coeffs is not None:
+        free, diagonal = model.drive_free(nodes, coeffs)
     if diagonal is None:
         return np.zeros((nodes.size - 1) // 2, dtype=bool), None
     z = -1j * h * diagonal
@@ -237,7 +223,10 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     A driven step applies its own transfer matrix. A run of idle steps (see
     ``_idle_steps``) applies the same diagonal factor every step, so its
     states are the run's first state times the factor's powers and the
-    Hamiltonian is not sampled there.
+    Hamiltonian is not sampled there. A ``HamiltonianModel``'s drive
+    coefficients are evaluated once per node: they decide idleness and
+    build the driven steps' Hamiltonians, and a chunk takes the row of its
+    first node from the chunk before.
     """
     h = grid.step
     n = grid.n_steps
@@ -253,17 +242,24 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     max_pops = np.abs(out[0]) ** 2
     drift = float(np.max(np.abs(max_pops.sum(axis=0) - 1.0)))
 
+    coeffs = model.coefficients(np.array([t0])) if isinstance(model, HamiltonianModel) else None
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
         nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
-        idle, powers = _idle_steps(model, nodes, h, chunk_steps)
+        if coeffs is not None:
+            coeffs = np.concatenate((coeffs[-1:], model.coefficients(nodes[1:])))
+        idle, powers = _idle_steps(model, nodes, coeffs, h, chunk_steps)
         edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
         for a, b in zip(edges, edges[1:]):
             if idle[a]:
                 np.multiply(powers[:b - a], out[a], out=out[a + 1:b + 1])
                 continue
-            stack = model.sample(nodes[2 * a:2 * b + 1])
+            span = slice(2 * a, 2 * b + 1)
+            if coeffs is None:
+                stack = model.sample(nodes[span])
+            else:
+                stack = model.sample(nodes[span], coeffs[span])
             stack *= -1j * h
             for m, psi, nxt in zip(_rk4_transfer(stack), out[a:b], out[a + 1:b + 1]):
                 np.matmul(m, psi, out=nxt)

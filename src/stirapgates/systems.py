@@ -15,7 +15,7 @@ H_a x 1 + 1 x H_b plus an interaction shift on |22><22|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,19 +81,27 @@ class HamiltonianModel:
             coeffs[:, 2 + 2 * k] = amp * np.sin(phase)
         return coeffs
 
-    def drive_free(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def drive_free(self, times: np.ndarray, coeffs: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
         """Where every drive coefficient is exactly zero, and the static diagonal.
 
         Returns a boolean mask over ``times`` and the diagonal of the static
         part, or None when that part has off-diagonal entries. Where the mask
         holds and the diagonal is given, H(t) is that constant diagonal.
+        ``coeffs``, when given, is ``coefficients(times)`` already evaluated.
         """
-        free = ~np.any(self.coefficients(times)[:, 1:] != 0.0, axis=1)
-        return free, self._static_diagonal
+        if coeffs is None:
+            coeffs = self.coefficients(times)
+        return ~np.any(coeffs[:, 1:] != 0.0, axis=1), self._static_diagonal
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Hamiltonian stack of shape (len(times), dim, dim)."""
-        coeffs = self.coefficients(times)
+    def sample(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
+        """Hamiltonian stack of shape (len(times), dim, dim).
+
+        ``coeffs``, when given, is ``coefficients(times)`` already evaluated,
+        so the drives are not evaluated again.
+        """
+        if coeffs is None:
+            coeffs = self.coefficients(times)
         flat = coeffs @ self._stack
         return flat.reshape(coeffs.shape[0], self.dim, self.dim)
 
@@ -102,6 +110,30 @@ class HamiltonianModel:
 
     def operator(self, t: float) -> HermitianOperator:
         return HermitianOperator(self.matrix(t), self.basis_labels)
+
+
+def time_reversed(model: HamiltonianModel, t_start: float, t_end: float) -> HamiltonianModel:
+    """Model whose propagation over [t_start, t_end] undoes the original's.
+
+    H_rev(t) = -H(t_start + t_end - t). The static part is negated and every
+    envelope is mirrored about the midpoint of the span (the sin^2 shape is
+    symmetric). A ramp phi(t) becomes phi(t_start + t_end - t) + pi: the pi
+    carries the sign of the drive terms, since amplitudes stay non-negative.
+    """
+    if not isinstance(model, HamiltonianModel):
+        raise TypeError(f"time reversal needs a HamiltonianModel, not {type(model).__name__}")
+    pivot = t_start + t_end
+    mats = model._stack.reshape(-1, model.dim, model.dim)
+    couplings = []
+    for k, fld in enumerate(model.fields):
+        ramp = fld.phase
+        mirrored = DriveField(
+            fld.level,
+            tuple(replace(env, t_on=pivot - env.t_off) for env in fld.envelopes),
+            PhaseRamp(ramp.kind, ramp.offset + ramp.slope * pivot + math.pi, -ramp.slope),
+        )
+        couplings.append((mirrored, mats[1 + 2 * k], mats[2 + 2 * k]))
+    return HamiltonianModel(model.basis_labels, -model._static, couplings)
 
 
 def lambda_hamiltonian(

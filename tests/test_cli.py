@@ -8,16 +8,21 @@ import math
 import pathlib
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 import yaml
 
 from stirapgates.cli import (
+    _CSV_BLOCK_ROWS,
     ConfigError,
     ExperimentConfig,
     apply_override,
     config_to_dict,
     load_config,
+    _fmt,
+    _write_trajectory_csv,
     main,
     parse_config,
 )
@@ -272,6 +277,39 @@ def test_simulate_is_byte_deterministic(tmp_path):
     first.pop("wall_clock_seconds")
     second.pop("wall_clock_seconds")
     assert first == second
+
+
+def test_trajectory_csv_matches_the_scalar_rule(tmp_path, rng):
+    """The block writer writes the bytes of csv.writer over ``_fmt``, row by row."""
+    # two full blocks and a partial third
+    n = 2 * _CSV_BLOCK_ROWS + 37
+    labels = ("q", "e", "s")
+    times = np.cumsum(rng.uniform(0.0, 1e-3, n))
+    populations = rng.uniform(0.0, 1.0, (n, 3)) ** 7
+    phases = rng.normal(0.0, 40.0, (n, 3))
+    specials = [-0.0, 1e16, 1e-5, 1e-4, 5e-324, 1.0, math.inf, -math.inf]
+    for k, value in enumerate(specials):
+        for row in (k, _CSV_BLOCK_ROWS - 1 - k, _CSV_BLOCK_ROWS + k, n - 1 - k):
+            populations[row, k % 3] = value
+            phases[row, 1] = value
+    # NaN in the first and last phase columns: at block edges, in a run, in one row together
+    for row in (0, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS, n - 1):
+        phases[row, 0] = phases[row, -1] = math.nan
+    phases[40:90, 0] = math.nan
+    phases[_CSV_BLOCK_ROWS + 10:n - 5, -1] = math.nan
+    traj = types.SimpleNamespace(basis_labels=labels, times=times,
+                                 populations=populations, phases=phases)
+
+    written = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(str(written), traj)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"pop_{lb}" for lb in labels] + [f"phase_{lb}" for lb in labels])
+        for i in range(n):
+            writer.writerow([_fmt(v) for v in (times[i], *populations[i], *phases[i])])
+    assert written.read_bytes() == reference.read_bytes()
+    assert written.read_text().count("\n") == n + 1
 
 
 def test_manifest_hashes_are_real(tmp_path):

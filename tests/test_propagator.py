@@ -368,9 +368,9 @@ class _CountingModel(HamiltonianModel):
         vars(self).update(vars(model))
         self.sampled: list[np.ndarray] = []
 
-    def sample(self, times):
+    def sample(self, times, coeffs=None):
         self.sampled.append(np.array(times, dtype=float))
-        return super().sample(times)
+        return super().sample(times, coeffs)
 
 
 def test_idle_steps_are_not_sampled():
@@ -399,15 +399,74 @@ def test_idle_steps_are_not_sampled():
     assert set(half_steps.tolist()) == set((2 * driven[:, None] + np.arange(3)).ravel().tolist())
 
 
+class _CoefficientCountingModel(HamiltonianModel):
+    """The same Hamiltonian, recording every batch of times its drives are evaluated at."""
+
+    def __init__(self, model: HamiltonianModel):
+        vars(self).update(vars(model))
+        self.evaluated: list[np.ndarray] = []
+
+    def coefficients(self, times):
+        self.evaluated.append(np.array(times, dtype=float))
+        return super().coefficients(times)
+
+
+class _ReevaluatingModel(HamiltonianModel):
+    """The same Hamiltonian, evaluating the drives again for every sampled stack."""
+
+    def __init__(self, model: HamiltonianModel):
+        vars(self).update(vars(model))
+
+    def sample(self, times, coeffs=None):
+        return super().sample(times)
+
+
+def test_drive_coefficients_are_evaluated_once_per_node():
+    """One coefficients pass per node decides idleness and builds the driven steps."""
+    sched = build_schedule(1.0, 0.8, 20.0)
+    model = TwoAtomSystem(drives={
+        "1": DriveField("1", sched.pump_envelopes(60.0)),
+        "2": DriveField("2", sched.stokes_envelopes(60.0), PhaseRamp(kind="linear", slope=0.7)),
+    }, detuning=0.3, interaction_shift=0.5).model()
+    grid = TimeGrid(sched.t_start, sched.support_end, 5e-3, sample_stride=9)
+    idle = _idle_mask(model, grid)
+    assert idle.any() and not idle.all()
+    # dim-16 chunks hold 128 steps, so the grid crosses many chunk boundaries
+    assert grid.n_steps > 10 * 128
+
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11", "22")]
+    counting = _CoefficientCountingModel(model)
+    counted = propagate_many(counting, starts, grid, check_quality=False)
+    evaluated = np.concatenate(counting.evaluated)
+    half_steps = np.rint((evaluated - grid.t_start) / (0.5 * grid.step)).astype(int)
+    assert sorted(half_steps.tolist()) == list(range(2 * grid.n_steps + 1))
+
+    # the reused coefficients give the same bits as evaluating them again
+    reevaluated = propagate_many(_ReevaluatingModel(model), starts, grid, check_quality=False)
+    for a, b in zip(counted, reevaluated):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.max_populations, b.max_populations)
+        assert a.norm_drift == b.norm_drift
+
+
 def test_stability_clamp_sees_a_narrow_pulse_on_a_long_grid():
     """A pulse far narrower than the uniform probe spacing still clamps the first rung.
 
     The pulse sits between two of the 257 uniform probes, and no node of the
     unclamped first rung falls inside it.
     """
+    model, pulse, area = _narrow_pulse()
+    _assert_narrow_pulse_clamped(model, pulse, area)
+
+
+def _narrow_pulse():
+    """A tripod with one resonant pulse of area 20 and width 0.01 at t = 30.1."""
     area = 20.0
     pulse = PulseEnvelope(area / 0.01, 0.01, t_on=30.1)
-    model = TripodSystem(drives={"0": DriveField("0", (pulse,))}).model()
+    return TripodSystem(drives={"0": DriveField("0", (pulse,))}).model(), pulse, area
+
+
+def _assert_narrow_pulse_clamped(model, pulse: PulseEnvelope, area: float) -> None:
     grid = TimeGrid(0.0, 60.0, 0.05, sample_stride=1000)
     (traj,), report = converge_many(model, [basis_state(TRIPOD_LABELS, "0")], grid, tolerance=1e-5)
     assert report.clamped
@@ -512,6 +571,12 @@ def test_time_reversal_round_trip():
     reversed_model = time_reversed(system.model(), sched.t_start, sched.support_end)
     (back,), _ = converge_many(reversed_model, [forward.final_state], grid, tolerance=tol)
     assert np.linalg.norm(back.final_state.amplitudes - start.amplitudes) <= 10.0 * tol
+
+
+def test_time_reversed_narrow_pulse_keeps_the_clamp():
+    """A reversed model is a model like any other: the ladder sees its mirrored pulse peak."""
+    model, pulse, area = _narrow_pulse()
+    _assert_narrow_pulse_clamped(time_reversed(model, 0.0, 60.0), pulse, area)
 
 
 # ---------------------------------------------------------------------------

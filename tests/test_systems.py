@@ -22,6 +22,7 @@ from stirapgates import (
     lambda_hamiltonian,
     lambda_spectrum,
     sequence_fields,
+    time_reversed,
     transform_interaction,
     tripod_dressed_states,
     tripod_hamiltonian,
@@ -144,6 +145,26 @@ def test_drive_free_marks_the_hold_and_reports_the_static_diagonal():
     constant = HamiltonianModel(LAMBDA_LABELS, lambda_hamiltonian(1.0, 1.0).matrix, [])
     free, diagonal = constant.drive_free(times)
     assert free.all() and diagonal is None
+
+
+def test_time_reversed_model_is_minus_the_mirrored_hamiltonian():
+    sched = build_schedule(1.0, 0.5, 4.0, t_start=0.3)
+    ramp = PhaseRamp(kind="linear", offset=0.4, slope=1.3)
+    pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s", stokes_phase=ramp)
+    model = LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3).model()
+    t_start, t_end = -0.5, 9.0
+    mirrored = t_start + t_end - np.linspace(t_start, t_end, 301)
+    times = t_start + t_end - mirrored
+    reversed_model = time_reversed(model, t_start, t_end)
+    assert isinstance(reversed_model, HamiltonianModel)
+    assert np.allclose(reversed_model.sample(times), -model.sample(mirrored), rtol=0.0, atol=1e-12)
+    assert [fld.phase.kind for fld in reversed_model.fields] == ["constant", "linear"]
+    # the hold and the stretches outside the sequences stay drive-free
+    free, diagonal = reversed_model.drive_free(times)
+    assert np.array_equal(free, model.drive_free(mirrored)[0])
+    assert np.array_equal(diagonal, [0.0, 0.3, 0.0])
+    with pytest.raises(TypeError):
+        time_reversed(lambda t: np.eye(3), t_start, t_end)
 
 
 # ---------------------------------------------------------------------------
