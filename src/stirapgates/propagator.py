@@ -3,7 +3,7 @@
 The integrator is the classical fourth-order Runge-Kutta scheme on a
 uniform grid. The scheme is linear in the state, so each step is one
 transfer matrix, built for a whole chunk of steps at once from the sampled
-Hamiltonians; the steps then cost one matrix-vector product each. Where
+Hamiltonians; a run of such steps is applied as a blocked prefix scan. Where
 every drive is off and the static part is diagonal, the transfer matrix is
 a fixed per-level factor, so such runs of steps are filled with its powers
 without sampling. Norm drift and maximum populations still cover every
@@ -33,6 +33,12 @@ _STABILITY_FACTOR = 0.8
 # fragmenting when idle runs cut the driven runs to varying lengths.
 _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 2**15
+
+
+def _scan_block(dim: int) -> int:
+    """Steps per block of the driven-run scan: 16 up to dim 4, where a batched
+    d x d product costs less than one Python-level matmul call; else 1."""
+    return 16 if dim <= 4 else 1
 
 
 class IntegrationQualityError(RuntimeError):
@@ -189,44 +195,56 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     a0, a1, a2 = stack[0:-1:2], stack[1::2], stack[2::2]
     k2 = a1 + 0.5 * (a1 @ a0)
     k3 = a1 + 0.5 * (a1 @ k2)
-    m = (a0 + 2.0 * (k2 + k3) + a2 + a2 @ k3) / 6.0
+    # M - I accumulates in place, in the formula's order: a fresh temporary per
+    # term would let the allocator return pages that the next chunk faults in
+    m = k2
+    m += k3
+    m *= 2.0
+    m += a0
+    m += a2
+    m += a2 @ k3
+    m /= 6.0
     diag = np.arange(stack.shape[1])
     m[:, diag, diag] += 1.0
     return m
 
 
-def _idle_steps(model, nodes: np.ndarray, coeffs, h: float, chunk_steps: int):
-    """Mask of the steps whose three RK4 nodes are drive-free, and the factor powers.
+def _scan(mats: np.ndarray, out: np.ndarray, block: int) -> None:
+    """States out[k] = M_k ... M_1 out[0], k = 1..L, for a run of transfer matrices.
 
-    A step is idle when the model reports every drive off at t, t+h/2 and
-    t+h and its static part is diagonal; its transfer matrix is then the
-    diagonal RK4 factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k].
-    The second value holds the factor's powers 1 to ``chunk_steps`` with
-    shape (chunk_steps, dim, 1), or None when the model has no diagonal
-    static part. ``coeffs`` holds the model's drive coefficients at the
-    nodes; a model without them (None) is never idle.
+    ``mats`` (L, dim, dim) is overwritten with the in-block products
+    P_i = M_i ... M_1, each block of ``block`` steps starting afresh, built
+    for all blocks at once. One matrix-vector product per block carries the
+    state to the next block start; one batched product then fills every
+    state inside the blocks. With ``block`` 1 this is one product per step.
     """
-    diagonal = None
-    if coeffs is not None:
-        free, diagonal = model.drive_free(nodes, coeffs)
-    if diagonal is None:
-        return np.zeros((nodes.size - 1) // 2, dtype=bool), None
-    z = -1j * h * diagonal
-    factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-    powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, factor.size)), axis=0)
-    return free[0:-1:2] & free[1::2] & free[2::2], powers[:, :, None]
+    for i in range(1, min(block, len(mats))):
+        ith = mats[i::block]
+        np.matmul(ith, mats[i - 1::block][:len(ith)], out=ith)
+    full = len(mats) // block * block
+    for p, psi, nxt in zip(mats[block - 1:full:block], out[:full:block], out[block:full + 1:block]):
+        np.matmul(p, psi, out=nxt)
+    if block > 1 and full:
+        inner = out[1:full + 1].reshape(full // block, block, *out.shape[1:])[:, :-1]
+        prods = mats[:full].reshape(full // block, block, *mats.shape[1:])[:, :-1]
+        np.matmul(prods, out[:full:block, None], out=inner)
+    if full < len(mats):
+        np.matmul(mats[full:], out[full], out=out[full + 1:])
 
 
 def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     """RK4 over a (dim, n_states) amplitude block.
 
-    A driven step applies its own transfer matrix. A run of idle steps (see
-    ``_idle_steps``) applies the same diagonal factor every step, so its
-    states are the run's first state times the factor's powers and the
-    Hamiltonian is not sampled there. A ``HamiltonianModel``'s drive
+    A run of driven steps applies its transfer matrices by a blocked prefix
+    scan (``_scan``), ``_scan_block(dim)`` steps per block. A step is idle
+    when the model reports every drive off at t, t+h/2 and t+h and its
+    static part is diagonal; its transfer matrix is then the factor
+    1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k], so a run of idle steps
+    is its first state times the factor's powers, built once per run, and
+    the Hamiltonian is not sampled there. A ``HamiltonianModel``'s drive
     coefficients are evaluated once per node: they decide idleness and
     build the driven steps' Hamiltonians, and a chunk takes the row of its
-    first node from the chunk before.
+    first node from the chunk before. Other models are never idle.
     """
     h = grid.step
     n = grid.n_steps
@@ -234,6 +252,7 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     sample_idx = grid.sample_indices()
     dim, width = psi0.shape
     chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // dim**2)
+    block = _scan_block(dim)
 
     samples = np.empty((sample_idx.size, dim, width), dtype=complex)
     out = np.empty((min(chunk_steps, n) + 1, dim, width), dtype=complex)
@@ -242,14 +261,25 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     max_pops = np.abs(out[0]) ** 2
     drift = float(np.max(np.abs(max_pops.sum(axis=0) - 1.0)))
 
-    coeffs = model.coefficients(np.array([t0])) if isinstance(model, HamiltonianModel) else None
+    coeffs = powers = None
+    if isinstance(model, HamiltonianModel):
+        coeffs = model.coefficients(np.array([t0]))
+        diagonal = model.drive_free(np.array([t0]), coeffs)[1]
+        if diagonal is not None:
+            z = -1j * h * diagonal
+            factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+            powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, dim)), axis=0)[:, :, None]
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
         nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
         if coeffs is not None:
             coeffs = np.concatenate((coeffs[-1:], model.coefficients(nodes[1:])))
-        idle, powers = _idle_steps(model, nodes, coeffs, h, chunk_steps)
+        if powers is None:
+            idle = np.zeros(chunk, dtype=bool)
+        else:
+            free = model.drive_free(nodes, coeffs)[0]
+            idle = free[0:-1:2] & free[1::2] & free[2::2]
         edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
         for a, b in zip(edges, edges[1:]):
             if idle[a]:
@@ -261,8 +291,7 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
             else:
                 stack = model.sample(nodes[span], coeffs[span])
             stack *= -1j * h
-            for m, psi, nxt in zip(_rk4_transfer(stack), out[a:b], out[a + 1:b + 1]):
-                np.matmul(m, psi, out=nxt)
+            _scan(_rk4_transfer(stack), out[a:b + 1], block)
 
         pops = np.abs(out[1:chunk + 1]) ** 2
         np.maximum(max_pops, pops.max(axis=0), out=max_pops)
@@ -468,18 +497,3 @@ def converge_many(
     model, labels, block = _preflight(hamiltonian, states)
     run, used_grid, report = _converge_block(model, block, grid, tolerance, max_halvings)
     return _trajectories(run, labels, used_grid), report
-
-
-def adiabaticity_report(trajectory: Trajectory, subspace) -> float:
-    """Largest sampled population outside a designated adiabatic subspace.
-
-    ``subspace`` maps a time to a (dim, k) matrix with orthonormal columns
-    spanning the subspace the evolution is meant to stay inside.
-    """
-    worst = 0.0
-    for t, amps in zip(trajectory.times, trajectory.states):
-        basis = np.asarray(subspace(float(t)), dtype=complex)
-        inside = float(np.sum(np.abs(basis.conj().T @ amps) ** 2))
-        total = float(np.sum(np.abs(amps) ** 2))
-        worst = max(worst, total - inside)
-    return worst

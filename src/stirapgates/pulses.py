@@ -56,11 +56,9 @@ def envelope_value(envelope: PulseEnvelope, t):
         return out if out.ndim else float(out)
     local = t - envelope.t_on
     inside = (local >= 0.0) & (local <= 2.0 * envelope.tau)
-    out = np.where(
-        inside,
-        envelope.omega_max * np.sin(np.pi * local / (2.0 * envelope.tau)) ** 2,
-        0.0,
-    )
+    out = np.zeros(local.shape)
+    if inside.any():
+        out[inside] = envelope.omega_max * np.sin(np.pi * local[inside] / (2.0 * envelope.tau)) ** 2
     return out if out.ndim else float(out)
 
 

@@ -108,9 +108,6 @@ class HamiltonianModel:
     def matrix(self, t: float) -> np.ndarray:
         return self.sample(np.asarray([t]))[0]
 
-    def operator(self, t: float) -> HermitianOperator:
-        return HermitianOperator(self.matrix(t), self.basis_labels)
-
 
 def time_reversed(model: HamiltonianModel, t_start: float, t_end: float) -> HamiltonianModel:
     """Model whose propagation over [t_start, t_end] undoes the original's.
@@ -368,9 +365,6 @@ class LambdaSystem:
         ]
         return HamiltonianModel(self.labels, static, couplings)
 
-    def hamiltonian(self, t: float) -> HermitianOperator:
-        return self.model().operator(t)
-
 
 @dataclass(frozen=True)
 class TripodSystem:
@@ -395,9 +389,6 @@ class TripodSystem:
                 lower = TRIPOD_LABELS.index(level)
                 couplings.append((self.drives[level], *_coupling_matrices(4, lower, 3)))
         return HamiltonianModel(self.labels, static, couplings)
-
-    def hamiltonian(self, t: float) -> HermitianOperator:
-        return self.model().operator(t)
 
 
 @dataclass(frozen=True)
@@ -448,9 +439,6 @@ class TwoAtomSystem:
         """Drive part only (interaction shift and detuning removed)."""
         static = np.zeros((16, 16), dtype=complex)
         return HamiltonianModel(self.labels, static, self._couplings())
-
-    def hamiltonian(self, t: float) -> HermitianOperator:
-        return self.model().operator(t)
 
 
 def sequence_fields(

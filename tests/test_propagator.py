@@ -22,7 +22,6 @@ from stirapgates import (
     TimeGrid,
     TripodSystem,
     TwoAtomSystem,
-    adiabaticity_report,
     basis_state,
     build_schedule,
     converge_many,
@@ -33,6 +32,7 @@ from stirapgates import (
     sequence_fields,
     time_reversed,
 )
+from stirapgates.propagator import _scan_block
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 LABELS2 = ("0", "1")
@@ -292,6 +292,64 @@ def test_transfer_matrices_match_a_staged_rk4():
             assert abs(traj.norm_drift - drift) < 1e-12, name
         # the drive does something on this stretch, so the check has teeth
         assert np.max(np.abs(states[-1] - block)) > 0.1, name
+
+
+def _pulsed(model: HamiltonianModel, runs: list[tuple[int, int]], grid: TimeGrid):
+    """The model's couplings and ramps, with each field driven only on the given runs.
+
+    A run (first step, length) gets one pulse per field, at the field's peak
+    Rabi frequency, whose support lies strictly between the run's outer
+    nodes. Distinct level energies make the idle steps between runs wind.
+    """
+    h = grid.step
+    mats = model._stack.reshape(-1, model.dim, model.dim)
+    couplings = []
+    for k, fld in enumerate(model.fields):
+        pulses = tuple(PulseEnvelope(fld.envelopes[0].omega_max, (length - 0.2) * h / 2.0,
+                                     t_on=grid.t_start + (first + 0.1) * h)
+                       for first, length in runs)
+        couplings.append((DriveField(fld.level, pulses, fld.phase),
+                          mats[1 + 2 * k], mats[2 + 2 * k]))
+    static = mats[0] + np.diag(np.linspace(0.0, 3.0, model.dim))
+    return HamiltonianModel(model.basis_labels, static, couplings)
+
+
+def _driven_runs(idle: np.ndarray) -> list[tuple[int, int]]:
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], (~idle).astype(int), [0]))))
+    return [(int(a), int(b - a)) for a, b in zip(edges[0::2], edges[1::2])]
+
+
+def test_driven_run_scan_matches_a_staged_rk4():
+    """Driven runs of every length against the scan's block, cut by idle runs.
+
+    Runs of 1, B - 1, B, B + 1 and 3B + 5 steps start at the grid start and
+    after 7 idle steps each, inside one chunk; a 61-step run crosses the
+    chunk edge at step 1024 (a multiple of the 128-step dim-16 chunk).
+    """
+    t_on, cases = _cross_check_cases()
+    for name, (model, _, starts) in cases.items():
+        if not isinstance(model, HamiltonianModel):
+            continue
+        block = _scan_block(model.dim)
+        runs, first = [], 0
+        for length in (1, block - 1, block, block + 1, 3 * block + 5):
+            if length > 0:
+                runs.append((first, length))
+                first += length + 7
+        runs.append((1000, 61))
+        grid = TimeGrid(t_on, t_on + 2.2, 2e-3, sample_stride=3)
+        assert grid.n_steps == 1100
+        pulsed = _pulsed(model, runs, grid)
+        assert _driven_runs(_idle_mask(pulsed, grid)) == runs, name
+
+        trajs = propagate_many(pulsed, starts, grid, check_quality=False)
+        block_states = np.stack([st.amplitudes for st in starts], axis=1)
+        states, max_pops, drift = _staged_rk4(pulsed.sample, block_states, grid)
+        for j, traj in enumerate(trajs):
+            assert np.max(np.abs(traj.states - states[:, :, j])) < 1e-12, name
+            assert np.max(np.abs(traj.max_populations - max_pops[:, j])) < 1e-12, name
+            assert abs(traj.norm_drift - drift) < 1e-12, name
+        assert np.max(np.abs(states[-1] - block_states)) > 0.1, name
 
 
 def _hold_cases():
@@ -581,6 +639,21 @@ def test_time_reversed_narrow_pulse_keeps_the_clamp():
 
 # ---------------------------------------------------------------------------
 # diagnostics
+
+
+def adiabaticity_report(trajectory, subspace) -> float:
+    """Largest sampled population outside a designated adiabatic subspace.
+
+    ``subspace`` maps a time to a (dim, k) matrix with orthonormal columns
+    spanning the subspace the evolution is meant to stay inside.
+    """
+    worst = 0.0
+    for t, amps in zip(trajectory.times, trajectory.states):
+        basis = np.asarray(subspace(float(t)), dtype=complex)
+        inside = float(np.sum(np.abs(basis.conj().T @ amps) ** 2))
+        total = float(np.sum(np.abs(amps) ** 2))
+        worst = max(worst, total - inside)
+    return worst
 
 
 def test_adiabaticity_improves_with_drive_strength():

@@ -116,7 +116,7 @@ def test_lambda_system_model_matches_hand_built_matrix():
             pump.complex_value(t), stokes.complex_value(t), -0.3
         ).matrix
         assert np.allclose(model.matrix(t), expected, atol=1e-14)
-        assert np.allclose(system.hamiltonian(t).matrix, expected, atol=1e-14)
+        assert np.allclose(system.model().matrix(t), expected, atol=1e-14)
 
 
 def test_model_sample_stacks_pointwise_matrices():
