@@ -29,8 +29,6 @@ from .pulses import (
     PulseEnvelope,
     StirapSchedule,
     build_schedule,
-    envelope_value,
-    mixing_angle,
 )
 from .systems import (
     LAMBDA_LABELS,
@@ -91,75 +89,3 @@ from .gates import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "POPULATION_FLOOR",
-    "NORM_DRIFT_LIMIT",
-    "HermiticityError",
-    "HermitianOperator",
-    "SpectralDecomposition",
-    "StateVector",
-    "UnitarityError",
-    "basis_state",
-    "eig_hermitian",
-    "overlap_phase",
-    "principal_angle",
-    "unitary_fidelity",
-    "DriveField",
-    "MixingProfile",
-    "PhaseRamp",
-    "PulseEnvelope",
-    "StirapSchedule",
-    "build_schedule",
-    "envelope_value",
-    "mixing_angle",
-    "LAMBDA_LABELS",
-    "TRIPOD_LABELS",
-    "TWO_ATOM_LABELS",
-    "DressedBasis",
-    "HamiltonianModel",
-    "LambdaSystem",
-    "TripodSystem",
-    "TwoAtomSystem",
-    "dark_state",
-    "lambda_hamiltonian",
-    "lambda_spectrum",
-    "sequence_fields",
-    "tripod_dressed_states",
-    "tripod_hamiltonian",
-    "two_atom_dark_projector",
-    "two_atom_dark_states",
-    "two_atom_hamiltonian",
-    "ConvergenceError",
-    "ConvergenceReport",
-    "IntegrationQualityError",
-    "TimeGrid",
-    "Trajectory",
-    "converge_many",
-    "extract_observables",
-    "propagate_many",
-    "time_reversed",
-    "PhaseEstimate",
-    "WzResult",
-    "berry_phase_closed_form",
-    "berry_phase_numeric",
-    "calibrate_interaction_shift",
-    "integrate_piecewise",
-    "mixing_integral",
-    "ramp_weight_deficit",
-    "schedule_breakpoints",
-    "transform_interaction",
-    "two_qubit_phase",
-    "wz_connection",
-    "wz_hamiltonian",
-    "wz_propagate",
-    "GateReport",
-    "GateSpec",
-    "LeakageError",
-    "reconstruct_unitary",
-    "run_controlled_phase",
-    "run_hadamard",
-    "run_phase_gate",
-    "solve_sequence_delay",
-    "__version__",
-]

@@ -691,8 +691,7 @@ def cmd_sweep(args) -> int:
         (raw, [(name, float(v)) for name, v in zip(names, combo)])
         for combo in itertools.product(*axes_values)
     ]
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(points)))
+    workers = min(args.workers or os.cpu_count() or 1, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))
@@ -789,6 +788,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _worker_count(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="YAML experiment description")
     parser.add_argument(
@@ -801,12 +806,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=[],
         metavar="PATH=VALUE",
         help="override a config field by dotted path (repeatable)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel worker processes for sweeps (default: all cores)",
     )
     parser.add_argument("--verbose", action="store_true", help="print extra diagnostics")
 
@@ -827,6 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=text)
         _add_common(command)
         command.set_defaults(func=func)
+    sub.choices["sweep"].add_argument(
+        "--workers", type=_worker_count, help="parallel worker processes (default: all cores)"
+    )
     return parser
 
 

@@ -96,25 +96,19 @@ class GateReport:
     note: str = ""
 
 
-def _finalize_matrix(
-    matrix: np.ndarray,
-    leakage_cap: float,
-    fix_global_phase: bool,
-) -> tuple[np.ndarray, float]:
+def _finalize_matrix(matrix: np.ndarray, leakage_cap: float) -> tuple[np.ndarray, float]:
     u = np.array(matrix, dtype=complex)
     deficits = 1.0 - np.sum(np.abs(u) ** 2, axis=0)
-    leakage = float(np.max(deficits))
-    leakage = max(leakage, 0.0)
+    leakage = max(float(np.max(deficits)), 0.0)
     if leakage > leakage_cap:
         raise LeakageError(
             f"column leakage {leakage:.4f} exceeds the cap {leakage_cap}; "
             "the run is too far from unitary to report as a gate"
         )
-    if fix_global_phase:
-        for k in range(u.shape[0]):
-            if abs(u[k, k]) > 1e-12:
-                u = u * np.exp(-1j * np.angle(u[k, k]))
-                break
+    for k in range(u.shape[0]):
+        if abs(u[k, k]) > 1e-12:
+            u = u * np.exp(-1j * np.angle(u[k, k]))
+            break
     return u, leakage
 
 
@@ -122,7 +116,6 @@ def reconstruct_unitary(
     final_states: list[StateVector],
     qubit_levels: tuple[str, ...],
     leakage_cap: float = LEAKAGE_CAP,
-    fix_global_phase: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Gate matrix from the terminal states of qubit basis-state runs.
 
@@ -138,7 +131,7 @@ def reconstruct_unitary(
     for k, state in enumerate(final_states):
         for j, level in enumerate(qubit_levels):
             u[j, k] = state.amplitude(level)
-    return _finalize_matrix(u, leakage_cap, fix_global_phase)
+    return _finalize_matrix(u, leakage_cap)
 
 
 def _fidelity(u: np.ndarray, target: np.ndarray, leakage: float) -> float:
@@ -172,7 +165,7 @@ def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
     )
     amp = trajs[0].final_state.amplitude("q")
     matrix = np.array([[1.0, 0.0], [0.0, amp]], dtype=complex)
-    u, leakage = _finalize_matrix(matrix, LEAKAGE_CAP, fix_global_phase=True)
+    u, leakage = _finalize_matrix(matrix, LEAKAGE_CAP)
     target = np.diag([1.0, np.exp(1j * target_phase)])
     return GateReport(
         kind="phase",

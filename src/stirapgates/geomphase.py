@@ -18,6 +18,8 @@ from .pulses import MixingProfile, PhaseRamp, StirapSchedule
 from .qcore import StateVector
 
 _WZ_LABELS = ("D5", "D6")
+# Simpson panels per kink-free segment of every mixing-weight integral
+_WEIGHT_INTERVALS = 96
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,13 @@ def mixing_integral(
     power: int = 1,
     peak_pump: float = 1.0,
     peak_stokes: float = 1.0,
-    intervals: int = 96,
 ) -> PhaseEstimate:
     """Integral of the pumped-level weight (to a power) over the sequence.
 
     With power 1 this equals the sequence delay exactly: the two ramp
     regions are mirror images and their deviations from the hold cancel.
     """
-    return _weight_integral(
-        schedule, lambda vals: vals**power, peak_pump, peak_stokes, intervals
-    )
+    return _weight_integral(schedule, lambda vals: vals**power, peak_pump, peak_stokes)
 
 
 def berry_phase_numeric(
@@ -99,7 +98,6 @@ def berry_phase_numeric(
     stokes_phase: PhaseRamp,
     peak_pump: float = 1.0,
     peak_stokes: float = 1.0,
-    intervals: int = 96,
 ) -> PhaseEstimate:
     """Transport phase as minus the mixing weight against the phase winding.
 
@@ -107,9 +105,7 @@ def berry_phase_numeric(
     phase is taken constant and the winding rate is the stokes ramp slope.
     """
     rate = stokes_phase.slope
-    return _weight_integral(
-        schedule, lambda vals: -rate * vals, peak_pump, peak_stokes, intervals
-    )
+    return _weight_integral(schedule, lambda vals: -rate * vals, peak_pump, peak_stokes)
 
 
 def berry_phase_closed_form(schedule: StirapSchedule, stokes_phase: PhaseRamp) -> float:
@@ -148,11 +144,11 @@ def _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end):
     raise TypeError(f"expected a schedule or an angle callable, got {type(theta)!r}")
 
 
-def _weight_integral(theta, f, peak_1, peak_2, intervals, t_start=None, t_end=None):
+def _weight_integral(theta, f, peak_1, peak_2, t_start=None, t_end=None):
     """Quadrature of f(R) over the sequence, R the transferred-level weight."""
     weight, a, b, kinks = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
     return integrate_piecewise(
-        lambda times: f(weight(times)), a, b, breakpoints=kinks, intervals=intervals
+        lambda times: f(weight(times)), a, b, breakpoints=kinks, intervals=_WEIGHT_INTERVALS
     )
 
 
@@ -163,7 +159,6 @@ def two_qubit_phase(
     t_end: float | None = None,
     peak_1: float = 1.0,
     peak_2: float = 1.0,
-    intervals: int = 96,
 ) -> PhaseEstimate:
     """Phase collected by the doubly-transferred dark state.
 
@@ -172,7 +167,7 @@ def two_qubit_phase(
     into a phase rate. ``theta`` is a pulse schedule or a callable mapping
     time to the mixing angle in radians (then the bounds are required).
     """
-    est = _weight_integral(theta, lambda r: r * r, peak_1, peak_2, intervals, t_start, t_end)
+    est = _weight_integral(theta, lambda r: r * r, peak_1, peak_2, t_start, t_end)
     return PhaseEstimate(
         value=-interaction_shift * est.value,
         error_estimate=abs(interaction_shift) * est.error_estimate,
@@ -183,7 +178,6 @@ def ramp_weight_deficit(
     schedule: StirapSchedule,
     peak_1: float = 1.0,
     peak_2: float = 1.0,
-    intervals: int = 96,
 ) -> float:
     """Integral of R(1 - R) over the ramps, with R the mixing weight.
 
@@ -191,9 +185,19 @@ def ramp_weight_deficit(
     their shape as the second pulse pair slides), which makes it the
     natural correction when solving for a delay that hits a phase target.
     """
-    return _weight_integral(
-        schedule, lambda vals: vals * (1.0 - vals), peak_1, peak_2, intervals
-    ).value
+    return _weight_integral(schedule, lambda vals: vals * (1.0 - vals), peak_1, peak_2).value
+
+
+def _pair_generator(r, q, shift: float) -> np.ndarray:
+    """Generator of the dark pair (D5, D6) at weights r = sin^2 and q = cos^2
+    of the pair mixing angle; array weights give a stack of 2 x 2 matrices."""
+    off = shift * r * q / np.sqrt(2.0)
+    out = np.empty(np.shape(r) + (2, 2), dtype=complex)
+    out[..., 0, 0] = shift * r * r
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off
+    out[..., 1, 1] = 0.5 * shift * q * q
+    return out
 
 
 def wz_connection(theta_2: float, interaction_shift: float) -> np.ndarray:
@@ -203,19 +207,14 @@ def wz_connection(theta_2: float, interaction_shift: float) -> np.ndarray:
     states are flat. Entries are anti-Hermitian as required for a
     norm-preserving transport law.
     """
-    s2 = np.sin(theta_2) ** 2
-    c2 = np.cos(theta_2) ** 2
     a = np.zeros((6, 6), dtype=complex)
-    a[4, 4] = 1j * interaction_shift * s2 * s2
-    a[4, 5] = 1j * interaction_shift * c2 * s2 / np.sqrt(2.0)
-    a[5, 4] = a[4, 5]
-    a[5, 5] = 0.5j * interaction_shift * c2 * c2
+    a[4:6, 4:6] = 1j * wz_hamiltonian(theta_2, interaction_shift)
     return a
 
 
 def wz_hamiltonian(theta_2: float, interaction_shift: float) -> np.ndarray:
     """Effective 2x2 generator for the mixing dark-state pair."""
-    return -1j * wz_connection(theta_2, interaction_shift)[4:6, 4:6]
+    return _pair_generator(np.sin(theta_2) ** 2, np.cos(theta_2) ** 2, interaction_shift)
 
 
 class _TransportLaw:
@@ -229,14 +228,7 @@ class _TransportLaw:
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         r = self._weight(np.atleast_1d(times))
-        q = 1.0 - r
-        off = self._shift * r * q / np.sqrt(2.0)
-        out = np.empty((r.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = self._shift * r * r
-        out[:, 0, 1] = off
-        out[:, 1, 0] = off
-        out[:, 1, 1] = 0.5 * self._shift * q * q
-        return out
+        return _pair_generator(r, 1.0 - r, self._shift)
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,6 @@ def wz_propagate(
     peak_2: float = 1.0,
     base_step: float = 0.01,
     tolerance: float = 1e-10,
-    sample_stride: int = 8,
 ) -> WzResult:
     """Integrate the dark-pair transport law across one pulse sequence.
 
@@ -271,7 +262,7 @@ def wz_propagate(
     ``two_qubit_phase``.
     """
     weight, a, b, _ = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
-    grid = TimeGrid(t_start=a, t_end=b, base_step=base_step, sample_stride=sample_stride)
+    grid = TimeGrid(t_start=a, t_end=b, base_step=base_step, sample_stride=8)
     start = StateVector(np.array([1.0, 0.0], dtype=complex), _WZ_LABELS)
     model = _TransportLaw(weight, interaction_shift)
     (traj,), report = converge_many(model, [start], grid, tolerance=tolerance)

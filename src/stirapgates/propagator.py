@@ -443,20 +443,18 @@ def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,
     h0 = _stability_step(model, grid)
     clamped = h0 < grid.step
     current = grid.with_step(h0) if clamped else grid
-    runs = [_run_fixed_step(model, block, current)]
-    grids = [current]
+    run = _run_fixed_step(model, block, current)
     steps = [current.step]
     distances: list[float] = []
     for _ in range(max_halvings):
+        # a copy, so the coarse rung's samples are freed once the fine run replaces them
+        coarse_final = run[1][-1].copy()
         current = current.refined()
-        runs.append(_run_fixed_step(model, block, current))
-        grids.append(current)
+        run = _run_fixed_step(model, block, current)
         steps.append(current.step)
-        coarse_final = runs[-2][1][-1]
-        fine_final = runs[-1][1][-1]
-        dist = float(np.max(np.linalg.norm(fine_final - coarse_final, axis=0)))
+        dist = float(np.max(np.linalg.norm(run[1][-1] - coarse_final, axis=0)))
         distances.append(dist)
-        drift = runs[-1][2]
+        drift = run[2]
         if dist <= tolerance and drift <= NORM_DRIFT_LIMIT:
             report = ConvergenceReport(
                 requested_step=grid.step,
@@ -469,9 +467,7 @@ def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,
                 norm_drift=drift,
                 clamped=clamped,
             )
-            return runs[-1], grids[-1], report
-        runs.pop(0)
-        grids.pop(0)
+            return run, current, report
     raise ConvergenceError(
         f"terminal states did not converge to {tolerance} within "
         f"{max_halvings} halvings (distances: "

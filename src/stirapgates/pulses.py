@@ -9,12 +9,10 @@ in the storage level; afterwards it has returned to the pump level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-ENVELOPE_SHAPES = ("sin_squared", "off")
 RAMP_KINDS = ("constant", "linear")
 
 
@@ -23,18 +21,14 @@ class PulseEnvelope:
     """Single smooth pulse: omega_max * sin^2(pi (t - t_on) / (2 tau)).
 
     ``tau`` is the full width at half maximum; the support is
-    [t_on, t_on + 2 tau] and the peak sits at t_on + tau. The shape
-    "off" is an identically zero placeholder for disabled drives.
+    [t_on, t_on + 2 tau] and the peak sits at t_on + tau.
     """
 
     omega_max: float
     tau: float
     t_on: float = 0.0
-    shape: str = "sin_squared"
 
     def __post_init__(self) -> None:
-        if self.shape not in ENVELOPE_SHAPES:
-            raise ValueError(f"unknown envelope shape {self.shape!r}")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
         if not self.omega_max >= 0.0:
@@ -45,21 +39,13 @@ class PulseEnvelope:
         return self.t_on + 2.0 * self.tau
 
     def value(self, t):
-        return envelope_value(self, t)
-
-
-def envelope_value(envelope: PulseEnvelope, t):
-    """Envelope amplitude at time(s) t; exactly zero outside the support."""
-    t = np.asarray(t, dtype=float)
-    if envelope.shape == "off":
-        out = np.zeros_like(t)
+        """Envelope amplitude at time(s) t; exactly zero outside the support."""
+        local = np.asarray(t, dtype=float) - self.t_on
+        inside = (local >= 0.0) & (local <= 2.0 * self.tau)
+        out = np.zeros(local.shape)
+        if inside.any():
+            out[inside] = self.omega_max * np.sin(np.pi * local[inside] / (2.0 * self.tau)) ** 2
         return out if out.ndim else float(out)
-    local = t - envelope.t_on
-    inside = (local >= 0.0) & (local <= 2.0 * envelope.tau)
-    out = np.zeros(local.shape)
-    if inside.any():
-        out[inside] = envelope.omega_max * np.sin(np.pi * local[inside] / (2.0 * envelope.tau)) ** 2
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -99,7 +85,7 @@ class DriveField:
         object.__setattr__(self, "envelopes", tuple(self.envelopes))
         if not self.envelopes:
             raise ValueError("a drive field needs at least one envelope")
-        spans = sorted((e.t_on, e.t_off) for e in self.envelopes if e.shape != "off")
+        spans = sorted((e.t_on, e.t_off) for e in self.envelopes)
         for (_, left_end), (right_start, _) in zip(spans, spans[1:]):
             if right_start < left_end:
                 raise ValueError("envelope supports within one field must not overlap")
@@ -108,29 +94,13 @@ class DriveField:
         t = np.asarray(t, dtype=float)
         total = np.zeros_like(t)
         for env in self.envelopes:
-            total = total + envelope_value(env, t)
+            total = total + env.value(t)
         return total if total.ndim else float(total)
 
     def complex_value(self, t):
         t = np.asarray(t, dtype=float)
         out = self.amplitude(t) * np.exp(1j * self.phase.value(t))
         return out if np.ndim(out) else complex(out)
-
-
-def mixing_angle(omega_pump: float, omega_stokes: float) -> tuple[float, bool]:
-    """Population mixing ratio sin^2(theta) = pump^2 / (pump^2 + stokes^2).
-
-    Returns (value, idle). When both amplitudes vanish the ratio is
-    undefined; the idle flag is set and the value falls back to 0. Schedule
-    context (see MixingProfile) replaces the fallback with the continuity
-    limit of the surrounding segments.
-    """
-    p2 = float(omega_pump) ** 2
-    s2 = float(omega_stokes) ** 2
-    total = p2 + s2
-    if total == 0.0:
-        return 0.0, True
-    return p2 / total, False
 
 
 @dataclass(frozen=True)
@@ -252,10 +222,3 @@ class MixingProfile:
         hold_start, hold_end = self.schedule.hold_interval
         sin2[idle & (t >= hold_start) & (t <= hold_end)] = 1.0
         return sin2, idle
-
-    def value(self, t: float) -> float:
-        sin2, _ = self.values(t)
-        return float(sin2[0])
-
-    def sin2_theta(self, t) -> np.ndarray:
-        return self.values(t)[0]

@@ -59,7 +59,7 @@ class StateVector:
         if len(self.basis_labels) != amps.size:
             raise ValueError("basis_labels length must match the amplitude vector")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}")
 
     @property
@@ -92,6 +92,12 @@ def basis_state(labels: tuple[str, ...] | list[str], level: str) -> StateVector:
     return StateVector(amps, labels)
 
 
+def _check_hermitian(matrix: np.ndarray) -> None:
+    asym = float(np.max(np.abs(matrix - matrix.conj().T)))
+    if not asym <= _HERM_TOL:
+        raise HermiticityError(f"matrix is not Hermitian: max |H - H^dagger| = {asym:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian matrix over a labelled basis, stored as H/hbar."""
@@ -107,11 +113,7 @@ class HermitianOperator:
             raise ValueError("matrix must be square")
         if len(self.basis_labels) != mat.shape[0]:
             raise ValueError("basis_labels length must match the matrix dimension")
-        asym = float(np.max(np.abs(mat - mat.conj().T)))
-        if asym > _HERM_TOL:
-            raise HermiticityError(
-                f"matrix is not Hermitian: max |H - H^dagger| = {asym:.3e}"
-            )
+        _check_hermitian(mat)
 
     @property
     def dim(self) -> int:
@@ -150,11 +152,7 @@ def eig_hermitian(operator: HermitianOperator | np.ndarray) -> SpectralDecomposi
     else:
         matrix = np.asarray(operator, dtype=complex)
         labels = ()
-        asym = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if asym > _HERM_TOL:
-            raise HermiticityError(
-                f"matrix is not Hermitian: max |H - H^dagger| = {asym:.3e}"
-            )
+        _check_hermitian(matrix)
     values, vectors = np.linalg.eigh(matrix)
     return SpectralDecomposition(values, vectors, labels)
 
@@ -174,7 +172,7 @@ def overlap_phase(state: StateVector, level: str) -> float | None:
 def _check_unitary(matrix: np.ndarray, tol: float, name: str) -> None:
     gram = matrix.conj().T @ matrix
     defect = float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
-    if defect > tol:
+    if not defect <= tol:
         raise UnitarityError(
             f"{name} is not unitary within {tol}: max |U^dagger U - 1| = {defect:.3e}"
         )

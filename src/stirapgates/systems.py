@@ -296,10 +296,6 @@ def two_atom_hamiltonian(
     return HermitianOperator(mat, TWO_ATOM_LABELS)
 
 
-def _pair_index(a: str, b: str) -> int:
-    return TWO_ATOM_LABELS.index(a + b)
-
-
 def two_atom_dark_states(
     theta_2: float,
     interaction_shift: float,
@@ -346,6 +342,12 @@ def two_atom_dark_projector(theta_2: float) -> np.ndarray:
     return np.stack([st.amplitudes for st in states], axis=1)
 
 
+def _check_legs(drives: dict[str, DriveField]) -> None:
+    for level in drives:
+        if level not in ("0", "1", "2"):
+            raise ValueError(f"no drive may attach to level {level!r}")
+
+
 @dataclass(frozen=True)
 class LambdaSystem:
     """Driven three-level atom; pump couples q <-> e, stokes couples s <-> e."""
@@ -376,9 +378,7 @@ class TripodSystem:
     labels = TRIPOD_LABELS
 
     def __post_init__(self) -> None:
-        for level in self.drives:
-            if level not in ("0", "1", "2"):
-                raise ValueError(f"no drive may attach to level {level!r}")
+        _check_legs(self.drives)
 
     def model(self) -> HamiltonianModel:
         static = np.zeros((4, 4), dtype=complex)
@@ -406,39 +406,22 @@ class TwoAtomSystem:
     labels = TWO_ATOM_LABELS
 
     def __post_init__(self) -> None:
-        for level in self.drives:
-            if level not in ("0", "1", "2"):
-                raise ValueError(f"no drive may attach to level {level!r}")
-
-    def _couplings(self) -> list[tuple[DriveField, np.ndarray, np.ndarray]]:
-        eye = np.eye(4, dtype=complex)
-        couplings = []
-        for level in ("0", "1", "2"):
-            if level in self.drives:
-                lower = TRIPOD_LABELS.index(level)
-                m_cos, m_sin = _coupling_matrices(4, lower, 3)
-                couplings.append(
-                    (
-                        self.drives[level],
-                        np.kron(m_cos, eye) + np.kron(eye, m_cos),
-                        np.kron(m_sin, eye) + np.kron(eye, m_sin),
-                    )
-                )
-        return couplings
+        _check_legs(self.drives)
 
     def model(self) -> HamiltonianModel:
-        static = np.zeros((16, 16), dtype=complex)
-        static[_TWO_ATOM_SHIFT_INDEX, _TWO_ATOM_SHIFT_INDEX] = self.interaction_shift
-        eye4 = np.eye(4, dtype=complex)
-        single_static = np.zeros((4, 4), dtype=complex)
-        single_static[3, 3] = self.detuning
-        static += np.kron(single_static, eye4) + np.kron(eye4, single_static)
-        return HamiltonianModel(self.labels, static, self._couplings())
+        """Kronecker sum of the single-atom tripod model, plus the |22> shift."""
+        single = TripodSystem(self.drives, self.detuning).model()
+        eye = np.eye(4, dtype=complex)
+        mats = [np.kron(m, eye) + np.kron(eye, m) for m in single._stack.reshape(-1, 4, 4)]
+        mats[0][_TWO_ATOM_SHIFT_INDEX, _TWO_ATOM_SHIFT_INDEX] += self.interaction_shift
+        couplings = [
+            (fld, mats[1 + 2 * k], mats[2 + 2 * k]) for k, fld in enumerate(single.fields)
+        ]
+        return HamiltonianModel(self.labels, mats[0], couplings)
 
     def drive_model(self) -> HamiltonianModel:
         """Drive part only (interaction shift and detuning removed)."""
-        static = np.zeros((16, 16), dtype=complex)
-        return HamiltonianModel(self.labels, static, self._couplings())
+        return replace(self, detuning=0.0, interaction_shift=0.0).model()
 
 
 def sequence_fields(
@@ -448,17 +431,11 @@ def sequence_fields(
     pump_level: str,
     stokes_level: str,
     stokes_phase: PhaseRamp | None = None,
-    pump_phase: PhaseRamp | None = None,
 ) -> tuple[DriveField, DriveField]:
-    """Pump and stokes DriveFields carrying the four-pulse schedule."""
-    pump = DriveField(
-        pump_level,
-        schedule.pump_envelopes(peak_pump),
-        pump_phase or PhaseRamp(),
-    )
+    """Pump and stokes DriveFields carrying the four-pulse schedule; the pump
+    phase is constant zero, since only the relative drive phase matters."""
+    pump = DriveField(pump_level, schedule.pump_envelopes(peak_pump))
     stokes = DriveField(
-        stokes_level,
-        schedule.stokes_envelopes(peak_stokes),
-        stokes_phase or PhaseRamp(),
+        stokes_level, schedule.stokes_envelopes(peak_stokes), stokes_phase or PhaseRamp()
     )
     return pump, stokes

@@ -469,6 +469,28 @@ def test_sweep_over_an_integer_field(tmp_path):
     assert all(r["error"] == "" for r in rows)
 
 
+def test_sweep_rejects_worker_counts_below_one(tmp_path, capsys):
+    raw = gate_raw()
+    raw["sweep"] = {
+        "axes": [{"parameter": "gate.peak_rabi", "start": 300.0, "stop": 320.0, "points": 2}]
+    }
+    cfg_path = write_config(tmp_path, raw)
+    for workers in ("0", "-3"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_only_sweep_takes_a_worker_count(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, gate_raw())
+    for command in ("simulate", "gate", "phase"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out), "--workers", "2"]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # phase predictions
 

@@ -12,8 +12,6 @@ from stirapgates import (
     PulseEnvelope,
     StirapSchedule,
     build_schedule,
-    envelope_value,
-    mixing_angle,
 )
 
 
@@ -35,6 +33,9 @@ def test_envelope_exactly_zero_outside_support():
     assert env.value(-1e-9) == 0.0
     assert env.value(2.0 + 1e-9) == 0.0
     assert env.value(-50.0) == 0.0
+    # a zero peak is silent everywhere, inside the support too
+    silent = PulseEnvelope(omega_max=0.0, tau=1.0, t_on=0.0)
+    assert np.all(silent.value(np.linspace(-1, 3, 11)) == 0.0)
 
 
 def test_envelope_vectorized_matches_scalar():
@@ -46,11 +47,6 @@ def test_envelope_vectorized_matches_scalar():
         assert v == pytest.approx(env.value(float(t)), abs=1e-15)
 
 
-def test_envelope_off_shape_is_silent():
-    env = PulseEnvelope(omega_max=5.0, tau=1.0, t_on=0.0, shape="off")
-    assert np.all(env.value(np.linspace(-1, 3, 11)) == 0.0)
-
-
 def test_envelope_validation():
     with pytest.raises(ValueError, match="tau"):
         PulseEnvelope(omega_max=1.0, tau=0.0)
@@ -60,13 +56,6 @@ def test_envelope_validation():
         PulseEnvelope(omega_max=1.0, tau=math.nan)
     with pytest.raises(ValueError, match="non-negative"):
         PulseEnvelope(omega_max=math.nan, tau=1.0)
-    with pytest.raises(ValueError, match="shape"):
-        PulseEnvelope(omega_max=1.0, tau=1.0, shape="boxcar")
-
-
-def test_envelope_value_helper_matches_method():
-    env = PulseEnvelope(omega_max=2.0, tau=1.5, t_on=0.5)
-    assert envelope_value(env, 1.3) == env.value(1.3)
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +112,6 @@ def test_field_complex_value_carries_the_ramp():
 def test_field_needs_an_envelope():
     with pytest.raises(ValueError, match="envelope"):
         DriveField(level="q", envelopes=())
-
-
-# ---------------------------------------------------------------------------
-# mixing_angle
-
-
-def test_mixing_angle_limits():
-    assert mixing_angle(1.0, 0.0) == (1.0, False)
-    assert mixing_angle(0.0, 1.0) == (0.0, False)
-    value, idle = mixing_angle(0.0, 0.0)
-    assert idle and value == 0.0
-
-
-def test_mixing_angle_scale_invariance(rng):
-    for _ in range(20):
-        p, s = rng.uniform(0.1, 5.0, size=2)
-        scale = rng.uniform(0.5, 100.0)
-        assert mixing_angle(p, s)[0] == pytest.approx(
-            mixing_angle(scale * p, scale * s)[0], abs=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +188,9 @@ def test_mixing_profile_ramp_endpoints():
     sched = build_schedule(1.0, 1.0, 5.0)
     profile = MixingProfile(sched)
     # just before the first pump turns on: still fully in the source
-    assert profile.value(sched.t_a - 0.1 * sched.tau) <= 0.01
+    assert profile.values(sched.t_a - 0.1 * sched.tau)[0][0] <= 0.01
     # just after the first stokes turns off: fully transferred
-    assert profile.value(sched.t_b + 0.1 * sched.tau) >= 0.99
+    assert profile.values(sched.t_b + 0.1 * sched.tau)[0][0] >= 0.99
 
 
 def test_mixing_profile_fills_idle_gaps():
@@ -238,7 +207,7 @@ def test_mixing_profile_is_monotone_on_the_first_ramp():
     sched = build_schedule(1.0, 0.5, 5.0)
     profile = MixingProfile(sched)
     times = np.linspace(sched.t_a, sched.t_b, 200)
-    vals = profile.sin2_theta(times)
+    vals, _ = profile.values(times)
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
@@ -247,8 +216,8 @@ def test_mixing_profile_is_monotone_on_the_first_ramp():
 def test_mixing_profile_scale_invariance():
     sched = build_schedule(1.0, 1.0, 5.0)
     times = np.linspace(0.0, sched.support_end, 257)
-    small = MixingProfile(sched, peak_pump=1.0, peak_stokes=1.0).sin2_theta(times)
-    large = MixingProfile(sched, peak_pump=70.0, peak_stokes=70.0).sin2_theta(times)
+    small, _ = MixingProfile(sched, peak_pump=1.0, peak_stokes=1.0).values(times)
+    large, _ = MixingProfile(sched, peak_pump=70.0, peak_stokes=70.0).values(times)
     assert np.allclose(small, large, atol=1e-12)
 
 

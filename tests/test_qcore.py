@@ -39,6 +39,8 @@ def test_basis_state_is_one_hot():
 def test_state_rejects_unnormalized_amplitudes():
     with pytest.raises(ValueError, match="norm"):
         StateVector(np.array([1.0, 1.0, 0.0], dtype=complex), LABELS3)
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(np.array([math.nan, 0.0, 0.0], dtype=complex), LABELS3)
 
 
 def test_state_rejects_unsupported_dimension():
@@ -122,6 +124,12 @@ def test_hermitian_operator_rejects_asymmetry():
     mat = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
     with pytest.raises(HermiticityError, match="not Hermitian"):
         HermitianOperator(mat, ("a", "b"))
+    # NaN compares false with every tolerance; both entry points still refuse it
+    nan = np.array([[0.0, math.nan], [math.nan, 0.0]], dtype=complex)
+    with pytest.raises(HermiticityError, match="not Hermitian"):
+        HermitianOperator(nan, ("a", "b"))
+    with pytest.raises(HermiticityError, match="not Hermitian"):
+        eig_hermitian(nan)
 
 
 def test_eig_zero_operator_is_all_zero():
@@ -186,6 +194,9 @@ def test_fidelity_rejects_non_unitary():
     # a looser explicit tolerance admits the same matrix
     value = unitary_fidelity(bad, np.eye(2, dtype=complex), unitarity_tol=1.0)
     assert 0.0 < value <= 1.0
+    nan = np.array([[1.0, 0.0], [0.0, math.nan]], dtype=complex)
+    with pytest.raises(UnitarityError):
+        unitary_fidelity(nan, np.eye(2, dtype=complex), unitarity_tol=1.0)
 
 
 def test_fidelity_rejects_shape_mismatch():

@@ -358,18 +358,21 @@ def test_dark_projector_fixes_the_decoupled_states():
 def test_two_atom_system_model_adds_the_shift():
     sched = build_schedule(1.0, 0.5, 4.0)
     drives = {
+        "0": DriveField("0", sched.pump_envelopes(0.7), PhaseRamp(kind="constant", offset=math.pi)),
         "1": DriveField("1", sched.pump_envelopes(2.0)),
-        "2": DriveField("2", sched.stokes_envelopes(3.0)),
+        "2": DriveField("2", sched.stokes_envelopes(3.0), PhaseRamp(kind="linear", offset=0.2, slope=-0.9)),
     }
     system = TwoAtomSystem(drives=drives, detuning=0.1, interaction_shift=0.8)
-    t = 1.3
-    expected = two_atom_hamiltonian(
-        0.0, drives["1"].complex_value(t), drives["2"].complex_value(t), 0.1, 0.8
-    ).matrix
-    assert np.allclose(system.model().matrix(t), expected, atol=1e-12)
-    drive_only = system.drive_model().matrix(t)
+    model, drive_model = system.model(), system.drive_model()
     idx = TWO_ATOM_LABELS.index("22")
-    assert expected[idx, idx] - drive_only[idx, idx] == pytest.approx(0.8)
+    hold_lo, hold_hi = sched.hold_interval
+    for t in (0.3, 1.3, 0.5 * (hold_lo + hold_hi), 4.9):
+        omegas = [drives[level].complex_value(t) for level in ("0", "1", "2")]
+        expected = two_atom_hamiltonian(*omegas, 0.1, 0.8).matrix
+        assert np.allclose(model.matrix(t), expected, atol=1e-12)
+        drive_only = drive_model.matrix(t)
+        assert np.allclose(drive_only, two_atom_hamiltonian(*omegas).matrix, atol=1e-12)
+        assert expected[idx, idx] - drive_only[idx, idx] == pytest.approx(0.8)
 
 
 def test_transform_interaction_round_trip():
