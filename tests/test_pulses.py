@@ -33,9 +33,6 @@ def test_envelope_exactly_zero_outside_support():
     assert env.value(-1e-9) == 0.0
     assert env.value(2.0 + 1e-9) == 0.0
     assert env.value(-50.0) == 0.0
-    # a zero peak is silent everywhere, inside the support too
-    silent = PulseEnvelope(omega_max=0.0, tau=1.0, t_on=0.0)
-    assert np.all(silent.value(np.linspace(-1, 3, 11)) == 0.0)
 
 
 def test_envelope_vectorized_matches_scalar():
@@ -45,6 +42,12 @@ def test_envelope_vectorized_matches_scalar():
     assert vec.shape == times.shape
     for t, v in zip(times, vec):
         assert v == pytest.approx(env.value(float(t)), abs=1e-15)
+
+
+def test_envelope_off_shape_is_silent():
+    # a switched-off pulse is a zero peak: silent everywhere, inside the support too
+    env = PulseEnvelope(omega_max=0.0, tau=1.0, t_on=0.0)
+    assert np.all(env.value(np.linspace(-1, 3, 11)) == 0.0)
 
 
 def test_envelope_validation():
