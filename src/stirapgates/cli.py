@@ -359,12 +359,8 @@ def _build_ramp(drive: DriveConfig) -> PhaseRamp:
 
 
 def _build_field(schedule: StirapSchedule, drive: DriveConfig, index: int) -> DriveField:
-    if drive.role == "pump":
-        envelopes = schedule.pump_envelopes(drive.peak_rabi)
-    else:
-        envelopes = schedule.stokes_envelopes(drive.peak_rabi)
     try:
-        return DriveField(level=drive.level, envelopes=envelopes, phase=_build_ramp(drive))
+        return schedule.drive(drive.level, drive.role, drive.peak_rabi, _build_ramp(drive))
     except ValueError as exc:
         raise ConfigError(f"drives.{index}: {exc}") from exc
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .geomphase import berry_phase_closed_form, ramp_weight_deficit
 from .propagator import ConvergenceReport, TimeGrid, converge_many
-from .pulses import DriveField, PhaseRamp, StirapSchedule, build_schedule
+from .pulses import PhaseRamp, StirapSchedule, build_schedule
 from .qcore import StateVector, basis_state, principal_angle, unitary_fidelity
-from .systems import LambdaSystem, TripodSystem, TwoAtomSystem, sequence_fields
+from .systems import HamiltonianModel, LambdaSystem, TripodSystem, TwoAtomSystem, sequence_fields
 
 LEAKAGE_CAP = 0.05
 
@@ -139,6 +139,16 @@ def _fidelity(u: np.ndarray, target: np.ndarray, leakage: float) -> float:
     return unitary_fidelity(u, target, unitarity_tol=tol)
 
 
+def _converge(spec: GateSpec, schedule: StirapSchedule, model: HamiltonianModel,
+              levels: tuple[str, ...]) -> tuple[list[StateVector], ConvergenceReport, float]:
+    """One ladder over the runs starting in each of ``levels``: their final
+    states, the ladder's report and the largest excited population reached."""
+    starts = [basis_state(model.basis_labels, level) for level in levels]
+    trajs, report = converge_many(model, starts, spec.grid(schedule), tolerance=spec.tolerance)
+    worst = float(np.max([t.max_e_population for t in trajs]))
+    return [t.final_state for t in trajs], report, worst
+
+
 def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
     """Single-qubit phase gate diag(1, e^(i phase)) by drive-phase winding.
 
@@ -150,20 +160,10 @@ def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
     schedule = spec.schedule()
     slope = -target_phase / schedule.sequence_delay
     stokes_ramp = PhaseRamp(kind="linear", offset=0.0, slope=slope)
-    pump, stokes = sequence_fields(
-        schedule,
-        peak_pump=spec.peak_rabi,
-        peak_stokes=spec.peak_rabi,
-        pump_level="q",
-        stokes_level="s",
-        stokes_phase=stokes_ramp,
-    )
+    pump, stokes = sequence_fields(schedule, spec.peak_rabi, spec.peak_rabi, "q", "s", stokes_ramp)
     system = LambdaSystem(pump=pump, stokes=stokes, detuning=spec.detuning)
-    start = basis_state(("q", "e", "s"), "q")
-    trajs, report = converge_many(
-        system.model(), [start], spec.grid(schedule), tolerance=spec.tolerance
-    )
-    amp = trajs[0].final_state.amplitude("q")
+    (final,), report, max_excited = _converge(spec, schedule, system.model(), ("q",))
+    amp = final.amplitude("q")
     matrix = np.array([[1.0, 0.0], [0.0, amp]], dtype=complex)
     u, leakage = _finalize_matrix(matrix, LEAKAGE_CAP)
     target = np.diag([1.0, np.exp(1j * target_phase)])
@@ -178,7 +178,7 @@ def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
         predicted_phase=berry_phase_closed_form(schedule, stokes_ramp),
         schedule=schedule,
         convergence=report,
-        max_excited_population=max(t.max_e_population for t in trajs),
+        max_excited_population=max_excited,
     )
 
 
@@ -197,33 +197,15 @@ def run_hadamard(spec: GateSpec) -> GateReport:
     peak_1 = spec.peak_rabi
     peak_stokes = math.hypot(peak_0, peak_1)
     slope = math.pi / schedule.sequence_delay
+    stokes_ramp = PhaseRamp(kind="linear", offset=0.0, slope=slope)
     drives = {
-        "0": DriveField(
-            level="0",
-            envelopes=schedule.pump_envelopes(peak_0),
-            phase=PhaseRamp(kind="constant", offset=math.pi),
-        ),
-        "1": DriveField(
-            level="1",
-            envelopes=schedule.pump_envelopes(peak_1),
-            phase=PhaseRamp(),
-        ),
-        "2": DriveField(
-            level="2",
-            envelopes=schedule.stokes_envelopes(peak_stokes),
-            phase=PhaseRamp(kind="linear", offset=0.0, slope=slope),
-        ),
+        "0": schedule.drive("0", "pump", peak_0, PhaseRamp(kind="constant", offset=math.pi)),
+        "1": schedule.drive("1", "pump", peak_1),
+        "2": schedule.drive("2", "stokes", peak_stokes, stokes_ramp),
     }
     system = TripodSystem(drives=drives, detuning=spec.detuning)
-    labels = ("0", "1", "2", "e")
-    starts = [basis_state(labels, "0"), basis_state(labels, "1")]
-    trajs, report = converge_many(
-        system.model(), starts, spec.grid(schedule), tolerance=spec.tolerance
-    )
-    u, leakage = reconstruct_unitary(
-        [t.final_state for t in trajs], ("0", "1")
-    )
-    stokes_ramp = drives["2"].phase
+    finals, report, max_excited = _converge(spec, schedule, system.model(), ("0", "1"))
+    u, leakage = reconstruct_unitary(finals, ("0", "1"))
     return GateReport(
         kind="hadamard",
         qubit_labels=("0", "1"),
@@ -235,7 +217,7 @@ def run_hadamard(spec: GateSpec) -> GateReport:
         predicted_phase=berry_phase_closed_form(schedule, stokes_ramp),
         schedule=schedule,
         convergence=report,
-        max_excited_population=max(t.max_e_population for t in trajs),
+        max_excited_population=max_excited,
     )
 
 
@@ -298,31 +280,11 @@ def run_controlled_phase(
             t_start=spec.t_start,
         )
     schedule = build_schedule(spec.tau, spec.pulse_delay, delay, spec.t_start)
-    drives = {
-        "1": DriveField(
-            level="1",
-            envelopes=schedule.pump_envelopes(spec.peak_rabi),
-            phase=PhaseRamp(),
-        ),
-        "2": DriveField(
-            level="2",
-            envelopes=schedule.stokes_envelopes(spec.peak_rabi),
-            phase=PhaseRamp(),
-        ),
-    }
-    system = TwoAtomSystem(
-        drives=drives,
-        detuning=spec.detuning,
-        interaction_shift=spec.interaction_shift,
-    )
-    model = system.model()
-    labels = tuple(model.basis_labels)
+    pump, stokes = sequence_fields(schedule, spec.peak_rabi, spec.peak_rabi, "1", "2")
+    system = TwoAtomSystem({"1": pump, "2": stokes}, spec.detuning, spec.interaction_shift)
     qubit_levels = ("00", "01", "10", "11")
-    starts = [basis_state(labels, lv) for lv in qubit_levels]
-    trajs, report = converge_many(
-        model, starts, spec.grid(schedule), tolerance=spec.tolerance
-    )
-    u, leakage = reconstruct_unitary([t.final_state for t in trajs], qubit_levels)
+    finals, report, max_excited = _converge(spec, schedule, system.model(), qubit_levels)
+    u, leakage = reconstruct_unitary(finals, qubit_levels)
     target = np.diag([1.0, 1.0, 1.0, np.exp(1j * target_phase)])
     achieved = principal_angle(float(np.angle(u[3, 3]) - np.angle(u[0, 0])))
     predicted = -spec.interaction_shift * (delay - correction)
@@ -337,7 +299,7 @@ def run_controlled_phase(
         predicted_phase=predicted,
         schedule=schedule,
         convergence=report,
-        max_excited_population=max(t.max_e_population for t in trajs),
+        max_excited_population=max_excited,
         note=(
             f"sequence delay solved to {delay:.6f} "
             f"(ramp correction {correction:.6f})"

@@ -144,11 +144,8 @@ class Trajectory:
     @property
     def max_e_population(self) -> float:
         """Largest population ever seen in any level whose label contains 'e'."""
-        worst = 0.0
-        for idx, label in enumerate(self.basis_labels):
-            if "e" in label:
-                worst = max(worst, float(self.max_populations[idx]))
-        return worst
+        excited = ["e" in label for label in self.basis_labels]
+        return float(np.max(self.max_populations[excited], initial=0.0))
 
     def level_index(self, level: str) -> int:
         return self.basis_labels.index(level)
@@ -264,7 +261,7 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     coeffs = powers = None
     if isinstance(model, HamiltonianModel):
         coeffs = model.coefficients(np.array([t0]))
-        diagonal = model.drive_free(np.array([t0]), coeffs)[1]
+        diagonal = model.static_diagonal
         if diagonal is not None:
             z = -1j * h * diagonal
             factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
@@ -278,7 +275,7 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
         if powers is None:
             idle = np.zeros(chunk, dtype=bool)
         else:
-            free = model.drive_free(nodes, coeffs)[0]
+            free = model.drive_free(nodes, coeffs)
             idle = free[0:-1:2] & free[1::2] & free[2::2]
         edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
         for a, b in zip(edges, edges[1:]):
@@ -295,7 +292,8 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
 
         pops = np.abs(out[1:chunk + 1]) ** 2
         np.maximum(max_pops, pops.max(axis=0), out=max_pops)
-        drift = max(drift, float(np.max(np.abs(pops.sum(axis=1) - 1.0))))
+        # np.maximum, unlike max(), keeps a NaN drift from an overflowed step
+        drift = float(np.maximum(drift, np.max(np.abs(pops.sum(axis=1) - 1.0))))
         lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
         samples[lo:hi] = out[sample_idx[lo:hi] - done]
         out[0] = out[chunk]
@@ -389,14 +387,14 @@ def propagate_many(
     ``hamiltonian`` may be a HamiltonianModel, a constant matrix, or a
     callable t -> matrix. All initial states share one grid pass and one
     basis, which must match the model's. The run is deterministic for a
-    given grid. When the norm drifts by more than ``NORM_DRIFT_LIMIT`` the
-    result is rejected with an error asking for step refinement (use
-    ``converge_many``).
+    given grid. When the norm drifts by more than ``NORM_DRIFT_LIMIT``, or
+    the drift is NaN, the result is rejected with an error asking for step
+    refinement (use ``converge_many``).
     """
     model, labels, block = _preflight(hamiltonian, states)
     run = _run_fixed_step(model, block, grid)
     drift = run[2]
-    if check_quality and drift > NORM_DRIFT_LIMIT:
+    if check_quality and not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationQualityError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             f"refine the step (current {grid.step:.3e}) or use converge_many()"

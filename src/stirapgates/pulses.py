@@ -169,6 +169,18 @@ class StirapSchedule:
             PulseEnvelope(omega_max, self.tau, t_on) for t_on in self.stokes_onsets
         )
 
+    def drive(self, level: str, role: str, peak: float, phase: PhaseRamp | None = None
+              ) -> DriveField:
+        """Field on ``level`` carrying the pump or the stokes pulse pair at ``peak``,
+        with a constant zero phase unless ``phase`` is given."""
+        if role == "pump":
+            envelopes = self.pump_envelopes(peak)
+        elif role == "stokes":
+            envelopes = self.stokes_envelopes(peak)
+        else:
+            raise ValueError(f"unknown drive role {role!r}; expected 'pump' or 'stokes'")
+        return DriveField(level, envelopes, phase or PhaseRamp())
+
 
 def build_schedule(
     tau: float,
@@ -202,12 +214,8 @@ class MixingProfile:
         if not (peak_pump > 0.0 and peak_stokes > 0.0):
             raise ValueError("peak amplitudes must be positive")
         self.schedule = schedule
-        self._pump = DriveField(
-            "pump", schedule.pump_envelopes(peak_pump)
-        )
-        self._stokes = DriveField(
-            "stokes", schedule.stokes_envelopes(peak_stokes)
-        )
+        self._pump = schedule.drive("pump", "pump", peak_pump)
+        self._stokes = schedule.drive("stokes", "stokes", peak_stokes)
 
     def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(sin^2 theta, idle mask) at the requested times."""

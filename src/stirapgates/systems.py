@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pulses import DriveField, PhaseRamp, PulseEnvelope
+from .pulses import DriveField, PhaseRamp
 from .qcore import HermitianOperator, StateVector, eig_hermitian
 
 LAMBDA_LABELS = ("q", "e", "s")
@@ -29,24 +29,15 @@ TWO_ATOM_LABELS = tuple(a + b for a in TRIPOD_LABELS for b in TRIPOD_LABELS)
 _TWO_ATOM_SHIFT_INDEX = TWO_ATOM_LABELS.index("22")
 
 
-def _coupling_matrices(dim: int, lower: int, excited: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constant Hermitian generators for the in-phase and quadrature drive parts."""
-    m_cos = np.zeros((dim, dim), dtype=complex)
-    m_cos[lower, excited] = 0.5
-    m_cos[excited, lower] = 0.5
-    m_sin = np.zeros((dim, dim), dtype=complex)
-    m_sin[lower, excited] = 0.5j
-    m_sin[excited, lower] = -0.5j
-    return m_cos, m_sin
-
-
 class HamiltonianModel:
     """H(t)/hbar = static + sum over fields of amplitude/phase terms.
 
-    Stores constant Hermitian matrices with real scalar coefficient
-    functions so a whole block of time samples can be assembled with one
+    ``couplings`` holds one (field, m_cos, m_sin) triple per field: constant
+    Hermitian matrices weighted by amplitude * cos(phase) and amplitude *
+    sin(phase), so a whole block of time samples is assembled with one
     matrix product. This is the propagator's fast path. With no couplings
-    the model is the constant matrix ``static``.
+    the model is the constant matrix ``static``. ``static_diagonal`` is the
+    diagonal of ``static``, or None when ``static`` has off-diagonal entries.
     """
 
     def __init__(
@@ -58,16 +49,17 @@ class HamiltonianModel:
         self.basis_labels = tuple(basis_labels)
         dim = len(self.basis_labels)
         self.dim = dim
-        self._static = np.asarray(static, dtype=complex)
-        if self._static.shape != (dim, dim):
+        self.static = np.asarray(static, dtype=complex)
+        if self.static.shape != (dim, dim):
             raise ValueError("static part has the wrong shape")
-        self.fields = tuple(fld for fld, _, _ in couplings)
-        off_diagonal = self._static - np.diag(np.diag(self._static))
-        self._static_diagonal = None if off_diagonal.any() else np.diag(self._static).copy()
-        mats = [self._static]
-        for _, m_cos, m_sin in couplings:
-            mats.append(np.asarray(m_cos, dtype=complex))
-            mats.append(np.asarray(m_sin, dtype=complex))
+        self.couplings = tuple(
+            (fld, np.asarray(m_cos, dtype=complex), np.asarray(m_sin, dtype=complex))
+            for fld, m_cos, m_sin in couplings
+        )
+        self.fields = tuple(fld for fld, _, _ in self.couplings)
+        off_diagonal = self.static - np.diag(np.diag(self.static))
+        self.static_diagonal = None if off_diagonal.any() else np.diag(self.static).copy()
+        mats = [self.static, *(m for _, m_cos, m_sin in self.couplings for m in (m_cos, m_sin))]
         self._stack = np.stack(mats).reshape(len(mats), dim * dim)
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
@@ -81,18 +73,16 @@ class HamiltonianModel:
             coeffs[:, 2 + 2 * k] = amp * np.sin(phase)
         return coeffs
 
-    def drive_free(self, times: np.ndarray, coeffs: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Where every drive coefficient is exactly zero, and the static diagonal.
+    def drive_free(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
+        """Boolean mask over ``times``: where every drive coefficient is exactly zero.
 
-        Returns a boolean mask over ``times`` and the diagonal of the static
-        part, or None when that part has off-diagonal entries. Where the mask
-        holds and the diagonal is given, H(t) is that constant diagonal.
-        ``coeffs``, when given, is ``coefficients(times)`` already evaluated.
+        Where it holds and ``static_diagonal`` is set, H(t) is that constant
+        diagonal. ``coeffs``, when given, is ``coefficients(times)`` already
+        evaluated.
         """
         if coeffs is None:
             coeffs = self.coefficients(times)
-        return ~np.any(coeffs[:, 1:] != 0.0, axis=1), self._static_diagonal
+        return ~np.any(coeffs[:, 1:] != 0.0, axis=1)
 
     def sample(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """Hamiltonian stack of shape (len(times), dim, dim).
@@ -120,17 +110,16 @@ def time_reversed(model: HamiltonianModel, t_start: float, t_end: float) -> Hami
     if not isinstance(model, HamiltonianModel):
         raise TypeError(f"time reversal needs a HamiltonianModel, not {type(model).__name__}")
     pivot = t_start + t_end
-    mats = model._stack.reshape(-1, model.dim, model.dim)
     couplings = []
-    for k, fld in enumerate(model.fields):
+    for fld, m_cos, m_sin in model.couplings:
         ramp = fld.phase
         mirrored = DriveField(
             fld.level,
             tuple(replace(env, t_on=pivot - env.t_off) for env in fld.envelopes),
             PhaseRamp(ramp.kind, ramp.offset + ramp.slope * pivot + math.pi, -ramp.slope),
         )
-        couplings.append((mirrored, mats[1 + 2 * k], mats[2 + 2 * k]))
-    return HamiltonianModel(model.basis_labels, -model._static, couplings)
+        couplings.append((mirrored, m_cos, m_sin))
+    return HamiltonianModel(model.basis_labels, -model.static, couplings)
 
 
 def lambda_hamiltonian(
@@ -348,6 +337,27 @@ def _check_legs(drives: dict[str, DriveField]) -> None:
             raise ValueError(f"no drive may attach to level {level!r}")
 
 
+def _chain_model(labels: tuple[str, ...], detuning: float,
+                 legs: list[tuple[str, DriveField]]) -> HamiltonianModel:
+    """Detuning on |e><e| and, per (level k, field) leg, (Omega/2)|k><e| + h.c.
+
+    Each field enters through its in-phase generator (|k><e| + |e><k|)/2 and
+    its quadrature generator i(|k><e| - |e><k|)/2.
+    """
+    dim = len(labels)
+    excited = labels.index("e")
+    static = np.zeros((dim, dim), dtype=complex)
+    static[excited, excited] = detuning
+    couplings = []
+    for level, fld in legs:
+        lower = labels.index(level)
+        m_cos, m_sin = np.zeros((2, dim, dim), dtype=complex)
+        m_cos[lower, excited] = m_cos[excited, lower] = 0.5
+        m_sin[lower, excited], m_sin[excited, lower] = 0.5j, -0.5j
+        couplings.append((fld, m_cos, m_sin))
+    return HamiltonianModel(labels, static, couplings)
+
+
 @dataclass(frozen=True)
 class LambdaSystem:
     """Driven three-level atom; pump couples q <-> e, stokes couples s <-> e."""
@@ -359,13 +369,7 @@ class LambdaSystem:
     labels = LAMBDA_LABELS
 
     def model(self) -> HamiltonianModel:
-        static = np.zeros((3, 3), dtype=complex)
-        static[1, 1] = self.detuning
-        couplings = [
-            (self.pump, *_coupling_matrices(3, 0, 1)),
-            (self.stokes, *_coupling_matrices(3, 2, 1)),
-        ]
-        return HamiltonianModel(self.labels, static, couplings)
+        return _chain_model(self.labels, self.detuning, [("q", self.pump), ("s", self.stokes)])
 
 
 @dataclass(frozen=True)
@@ -381,14 +385,8 @@ class TripodSystem:
         _check_legs(self.drives)
 
     def model(self) -> HamiltonianModel:
-        static = np.zeros((4, 4), dtype=complex)
-        static[3, 3] = self.detuning
-        couplings = []
-        for level in ("0", "1", "2"):
-            if level in self.drives:
-                lower = TRIPOD_LABELS.index(level)
-                couplings.append((self.drives[level], *_coupling_matrices(4, lower, 3)))
-        return HamiltonianModel(self.labels, static, couplings)
+        legs = [(level, self.drives[level]) for level in ("0", "1", "2") if level in self.drives]
+        return _chain_model(self.labels, self.detuning, legs)
 
 
 @dataclass(frozen=True)
@@ -412,12 +410,14 @@ class TwoAtomSystem:
         """Kronecker sum of the single-atom tripod model, plus the |22> shift."""
         single = TripodSystem(self.drives, self.detuning).model()
         eye = np.eye(4, dtype=complex)
-        mats = [np.kron(m, eye) + np.kron(eye, m) for m in single._stack.reshape(-1, 4, 4)]
-        mats[0][_TWO_ATOM_SHIFT_INDEX, _TWO_ATOM_SHIFT_INDEX] += self.interaction_shift
-        couplings = [
-            (fld, mats[1 + 2 * k], mats[2 + 2 * k]) for k, fld in enumerate(single.fields)
-        ]
-        return HamiltonianModel(self.labels, mats[0], couplings)
+
+        def kron_sum(m: np.ndarray) -> np.ndarray:
+            return np.kron(m, eye) + np.kron(eye, m)
+
+        static = kron_sum(single.static)
+        static[_TWO_ATOM_SHIFT_INDEX, _TWO_ATOM_SHIFT_INDEX] += self.interaction_shift
+        couplings = [(fld, kron_sum(c), kron_sum(s)) for fld, c, s in single.couplings]
+        return HamiltonianModel(self.labels, static, couplings)
 
     def drive_model(self) -> HamiltonianModel:
         """Drive part only (interaction shift and detuning removed)."""
@@ -434,8 +434,5 @@ def sequence_fields(
 ) -> tuple[DriveField, DriveField]:
     """Pump and stokes DriveFields carrying the four-pulse schedule; the pump
     phase is constant zero, since only the relative drive phase matters."""
-    pump = DriveField(pump_level, schedule.pump_envelopes(peak_pump))
-    stokes = DriveField(
-        stokes_level, schedule.stokes_envelopes(peak_stokes), stokes_phase or PhaseRamp()
-    )
-    return pump, stokes
+    return (schedule.drive(pump_level, "pump", peak_pump),
+            schedule.drive(stokes_level, "stokes", peak_stokes, stokes_phase))

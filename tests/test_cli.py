@@ -263,6 +263,19 @@ def test_simulate_writes_the_expected_files(tmp_path):
     assert parse_config(resolved) == parse_config(simulate_raw())
 
 
+def test_overflowing_simulate_is_an_integration_error(tmp_path, capsys):
+    overrides = ["grid.tolerance=null", "drives.0.peak_rabi=1e200", "drives.1.peak_rabi=1e200"]
+    argv = ["simulate", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+            "--out", str(tmp_path / "x")]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(argv)
+    assert rc == 2
+    assert "norm drift nan" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "summary.json").exists()
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     cfg_path = write_config(tmp_path, simulate_raw())
     outs = []
@@ -538,6 +551,15 @@ def test_invalid_schedule_is_a_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, raw)
     rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+def test_negative_peak_is_a_config_error(tmp_path, capsys):
+    raw = simulate_raw()
+    raw["drives"][0]["peak_rabi"] = -1.0
+    cfg_path = write_config(tmp_path, raw)
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "drives.0: omega_max must be non-negative" in capsys.readouterr().err
 
 
 def test_leaky_gate_is_an_integration_error(tmp_path, capsys):

@@ -175,6 +175,20 @@ def test_propagate_flags_excessive_norm_drift():
     assert traj.norm_drift > NORM_DRIFT_LIMIT
 
 
+def test_propagate_flags_an_overflowed_run():
+    """A drive so strong that the RK4 products overflow leaves a NaN drift,
+    which the quality gate refuses and the diagnostics keep."""
+    labels = ("g", "e")
+    grid = TimeGrid(0.0, 1.0, 0.01, sample_stride=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationQualityError, match="nan"):
+            propagate_many(1e200 * SIGMA_X, [basis_state(labels, "g")], grid)
+        traj = propagate_many(1e200 * SIGMA_X, [basis_state(labels, "g")], grid,
+                              check_quality=False)[0]
+    assert math.isnan(traj.norm_drift)
+    assert math.isnan(traj.max_e_population)
+
+
 def test_final_state_is_normalized_despite_drift():
     ham = 40.0 * SIGMA_X
     grid = TimeGrid(0.0, 10.0, 0.05, sample_stride=1)
@@ -302,15 +316,13 @@ def _pulsed(model: HamiltonianModel, runs: list[tuple[int, int]], grid: TimeGrid
     nodes. Distinct level energies make the idle steps between runs wind.
     """
     h = grid.step
-    mats = model._stack.reshape(-1, model.dim, model.dim)
     couplings = []
-    for k, fld in enumerate(model.fields):
+    for fld, m_cos, m_sin in model.couplings:
         pulses = tuple(PulseEnvelope(fld.envelopes[0].omega_max, (length - 0.2) * h / 2.0,
                                      t_on=grid.t_start + (first + 0.1) * h)
                        for first, length in runs)
-        couplings.append((DriveField(fld.level, pulses, fld.phase),
-                          mats[1 + 2 * k], mats[2 + 2 * k]))
-    static = mats[0] + np.diag(np.linspace(0.0, 3.0, model.dim))
+        couplings.append((DriveField(fld.level, pulses, fld.phase), m_cos, m_sin))
+    static = model.static + np.diag(np.linspace(0.0, 3.0, model.dim))
     return HamiltonianModel(model.basis_labels, static, couplings)
 
 
@@ -381,7 +393,8 @@ def _hold_cases():
 def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
     """Steps whose three RK4 nodes are all drive-free."""
     nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
-    free, diagonal = model.drive_free(nodes)
+    free = model.drive_free(nodes)
+    diagonal = model.static_diagonal
     assert diagonal is not None and np.any(diagonal != 0.0)
     return free[0:-1:2] & free[1::2] & free[2::2]
 

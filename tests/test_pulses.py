@@ -170,6 +170,15 @@ def test_schedule_envelopes_sit_on_the_onsets():
     assert [e.t_on for e in stokes] == list(sched.stokes_onsets)
     assert all(e.omega_max == 4.0 and e.tau == 2.0 for e in pumps)
     assert all(e.omega_max == 3.0 for e in stokes)
+    # drive() is the one place a role picks its pulse pair
+    pump_field = sched.drive("1", "pump", 4.0)
+    assert pump_field.level == "1" and pump_field.envelopes == pumps
+    assert pump_field.phase == PhaseRamp()
+    ramp = PhaseRamp(kind="linear", slope=0.5)
+    stokes_field = sched.drive("2", "stokes", 3.0, ramp)
+    assert stokes_field.envelopes == stokes and stokes_field.phase is ramp
+    with pytest.raises(ValueError, match="role 'probe'"):
+        sched.drive("1", "probe", 4.0)
 
 
 def test_schedule_profile_reflection_symmetry():

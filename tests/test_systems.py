@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stirapgates import (
     LAMBDA_LABELS,
@@ -32,6 +34,30 @@ from stirapgates import (
 )
 
 ROOT2 = math.sqrt(2.0)
+
+# Drawn system inputs, checked against the hand-built matrices. All draws
+# use one schedule (pulses on [0, 2.5] and [4, 6.5], hold between) and take
+# one time from each stretch: before, first sequence, hold, second, after.
+SCHED = build_schedule(1.0, 0.5, 4.0)
+PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+TIMES = st.tuples(*(st.floats(lo, hi) for lo, hi in
+                    ((-1.0, 0.0), (0.0, 2.5), (2.5, 4.0), (4.0, 6.5), (6.5, 8.0))))
+PEAKS = st.floats(0.0, 10.0)
+ENERGIES = st.floats(-5.0, 5.0)
+RAMPS = st.one_of(
+    st.builds(PhaseRamp, st.just("constant"), st.floats(-4.0, 4.0)),
+    st.builds(PhaseRamp, st.just("linear"), st.floats(-4.0, 4.0), st.floats(-2.0, 2.0)),
+)
+# any subset of the tripod legs, each carrying a pump or stokes pair
+LEGS = st.dictionaries(
+    st.sampled_from(("0", "1", "2")),
+    st.tuples(st.sampled_from(("pump", "stokes")), PEAKS, RAMPS),
+    max_size=3,
+).map(lambda legs: {level: SCHED.drive(level, *leg) for level, leg in legs.items()})
+
+
+def _omegas(drives: dict[str, DriveField], t: float) -> list[complex]:
+    return [drives[lv].complex_value(t) if lv in drives else 0.0 for lv in ("0", "1", "2")]
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +132,19 @@ def test_dark_state_annihilated_on_a_dense_grid():
         assert np.linalg.norm(residual) <= 1e-10 * scale
 
 
-def test_lambda_system_model_matches_hand_built_matrix():
-    sched = build_schedule(1.0, 0.5, 4.0)
-    pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s")
-    system = LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3)
+@PROPERTIES
+@given(peaks=st.tuples(PEAKS, PEAKS), ramps=st.tuples(RAMPS, RAMPS), detuning=ENERGIES,
+       times=TIMES)
+@example(peaks=(2.0, 5.0), ramps=(PhaseRamp(), PhaseRamp()), detuning=-0.3,
+         times=(0.4, 1.2, 3.3, 6.1))
+def test_lambda_system_model_matches_hand_built_matrix(peaks, ramps, detuning, times):
+    pump = SCHED.drive("q", "pump", peaks[0], ramps[0])
+    stokes = SCHED.drive("s", "stokes", peaks[1], ramps[1])
+    system = LambdaSystem(pump=pump, stokes=stokes, detuning=detuning)
     model = system.model()
-    for t in (0.4, 1.2, 3.3, 6.1):
+    for t in times:
         expected = lambda_hamiltonian(
-            pump.complex_value(t), stokes.complex_value(t), -0.3
+            pump.complex_value(t), stokes.complex_value(t), detuning
         ).matrix
         assert np.allclose(model.matrix(t), expected, atol=1e-14)
         assert np.allclose(system.model().matrix(t), expected, atol=1e-14)
@@ -135,34 +166,48 @@ def test_drive_free_marks_the_hold_and_reports_the_static_diagonal():
     pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s")
     model = LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3).model()
     times = np.linspace(-1.0, 8.0, 91)
-    free, diagonal = model.drive_free(times)
+    free = model.drive_free(times)
     expected = (pump.amplitude(times) == 0.0) & (stokes.amplitude(times) == 0.0)
     assert np.array_equal(free, expected)
     # drive-free before, between and after the sequences, driven during them
     assert free.any() and not free.all()
-    assert np.array_equal(diagonal, [0.0, -0.3, 0.0])
+    assert np.array_equal(model.static_diagonal, [0.0, -0.3, 0.0])
     # an off-diagonal static part has no diagonal to report
     constant = HamiltonianModel(LAMBDA_LABELS, lambda_hamiltonian(1.0, 1.0).matrix, [])
-    free, diagonal = constant.drive_free(times)
-    assert free.all() and diagonal is None
+    assert constant.drive_free(times).all() and constant.static_diagonal is None
 
 
-def test_time_reversed_model_is_minus_the_mirrored_hamiltonian():
+def _reversal_example():
     sched = build_schedule(1.0, 0.5, 4.0, t_start=0.3)
     ramp = PhaseRamp(kind="linear", offset=0.4, slope=1.3)
     pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s", stokes_phase=ramp)
-    model = LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3).model()
-    t_start, t_end = -0.5, 9.0
+    return LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3)
+
+
+@PROPERTIES
+@given(system=st.builds(TripodSystem, LEGS, ENERGIES), span=st.tuples(
+    st.floats(-1.0, 2.0), st.floats(1.0, 10.0)).map(lambda s: (s[0], s[0] + s[1])))
+@example(system=_reversal_example(), span=(-0.5, 9.0))
+def test_time_reversed_model_is_minus_the_mirrored_hamiltonian(system, span):
+    model = system.model()
+    t_start, t_end = span
     mirrored = t_start + t_end - np.linspace(t_start, t_end, 301)
     times = t_start + t_end - mirrored
     reversed_model = time_reversed(model, t_start, t_end)
     assert isinstance(reversed_model, HamiltonianModel)
     assert np.allclose(reversed_model.sample(times), -model.sample(mirrored), rtol=0.0, atol=1e-12)
-    assert [fld.phase.kind for fld in reversed_model.fields] == ["constant", "linear"]
-    # the hold and the stretches outside the sequences stay drive-free
-    free, diagonal = reversed_model.drive_free(times)
-    assert np.array_equal(free, model.drive_free(mirrored)[0])
-    assert np.array_equal(diagonal, [0.0, 0.3, 0.0])
+    kinds = [fld.phase.kind for fld in reversed_model.fields]
+    assert kinds == [fld.phase.kind for fld in model.fields]
+    if isinstance(system, LambdaSystem):
+        assert kinds == ["constant", "linear"]
+    # the hold and the stretches outside the sequences stay drive-free; sin^2
+    # is exactly 0 at an onset but about 1e-32 * peak at a turn-off, and the
+    # mirror swaps the two, so a node on a support edge is left out
+    edges = [t for fld in model.fields for env in fld.envelopes for t in (env.t_on, env.t_off)]
+    off_edge = np.min(np.abs(mirrored[:, None] - np.array([np.inf, *edges])), axis=1) > 1e-12
+    assert np.array_equal(reversed_model.drive_free(times)[off_edge],
+                          model.drive_free(mirrored)[off_edge])
+    assert np.array_equal(reversed_model.static_diagonal, -model.static_diagonal)
     with pytest.raises(TypeError):
         time_reversed(lambda t: np.eye(3), t_start, t_end)
 
@@ -243,22 +288,22 @@ def test_tripod_dressed_states_reject_inconsistent_angles():
         tripod_dressed_states(0.3, 0.0, 0.0, 5.0, 1.0)
 
 
-def test_tripod_system_model_matches_hand_built_matrix():
-    sched = build_schedule(1.0, 0.5, 4.0)
-    drives = {
-        "0": DriveField("0", sched.pump_envelopes(1.0)),
-        "1": DriveField("1", sched.pump_envelopes(2.0), PhaseRamp(kind="constant", offset=math.pi)),
-        "2": DriveField("2", sched.stokes_envelopes(3.0)),
-    }
-    system = TripodSystem(drives=drives, detuning=0.2)
+@PROPERTIES
+@given(drives=LEGS, detuning=ENERGIES, times=TIMES)
+@example(
+    drives={
+        "0": DriveField("0", SCHED.pump_envelopes(1.0)),
+        "1": DriveField("1", SCHED.pump_envelopes(2.0), PhaseRamp(kind="constant", offset=math.pi)),
+        "2": DriveField("2", SCHED.stokes_envelopes(3.0)),
+    },
+    detuning=0.2,
+    times=(0.3, 1.1, 2.0),
+)
+def test_tripod_system_model_matches_hand_built_matrix(drives, detuning, times):
+    system = TripodSystem(drives=drives, detuning=detuning)
     model = system.model()
-    for t in (0.3, 1.1, 2.0):
-        expected = tripod_hamiltonian(
-            drives["0"].complex_value(t),
-            drives["1"].complex_value(t),
-            drives["2"].complex_value(t),
-            0.2,
-        ).matrix
+    for t in times:
+        expected = tripod_hamiltonian(*_omegas(drives, t), detuning).matrix
         assert np.allclose(model.matrix(t), expected, atol=1e-14)
 
 
@@ -355,24 +400,29 @@ def test_dark_projector_fixes_the_decoupled_states():
         assert np.allclose(proj @ state.amplitudes, state.amplitudes, atol=1e-10)
 
 
-def test_two_atom_system_model_adds_the_shift():
-    sched = build_schedule(1.0, 0.5, 4.0)
-    drives = {
-        "0": DriveField("0", sched.pump_envelopes(0.7), PhaseRamp(kind="constant", offset=math.pi)),
-        "1": DriveField("1", sched.pump_envelopes(2.0)),
-        "2": DriveField("2", sched.stokes_envelopes(3.0), PhaseRamp(kind="linear", offset=0.2, slope=-0.9)),
-    }
-    system = TwoAtomSystem(drives=drives, detuning=0.1, interaction_shift=0.8)
+@PROPERTIES
+@given(drives=LEGS, detuning=ENERGIES, shift=ENERGIES, times=TIMES)
+@example(
+    drives={
+        "0": DriveField("0", SCHED.pump_envelopes(0.7), PhaseRamp(kind="constant", offset=math.pi)),
+        "1": DriveField("1", SCHED.pump_envelopes(2.0)),
+        "2": DriveField("2", SCHED.stokes_envelopes(3.0), PhaseRamp(kind="linear", offset=0.2, slope=-0.9)),
+    },
+    detuning=0.1,
+    shift=0.8,
+    times=(0.3, 1.3, 0.5 * sum(SCHED.hold_interval), 4.9),
+)
+def test_two_atom_system_model_adds_the_shift(drives, detuning, shift, times):
+    system = TwoAtomSystem(drives=drives, detuning=detuning, interaction_shift=shift)
     model, drive_model = system.model(), system.drive_model()
     idx = TWO_ATOM_LABELS.index("22")
-    hold_lo, hold_hi = sched.hold_interval
-    for t in (0.3, 1.3, 0.5 * (hold_lo + hold_hi), 4.9):
-        omegas = [drives[level].complex_value(t) for level in ("0", "1", "2")]
-        expected = two_atom_hamiltonian(*omegas, 0.1, 0.8).matrix
+    for t in times:
+        omegas = _omegas(drives, t)
+        expected = two_atom_hamiltonian(*omegas, detuning, shift).matrix
         assert np.allclose(model.matrix(t), expected, atol=1e-12)
         drive_only = drive_model.matrix(t)
         assert np.allclose(drive_only, two_atom_hamiltonian(*omegas).matrix, atol=1e-12)
-        assert expected[idx, idx] - drive_only[idx, idx] == pytest.approx(0.8)
+        assert expected[idx, idx] - drive_only[idx, idx] == pytest.approx(shift)
 
 
 def test_transform_interaction_round_trip():
