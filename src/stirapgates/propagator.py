@@ -35,10 +35,22 @@ _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 2**15
 
 
+# Up to this dim a batched d x d matmul is bound by its per-call overhead: the
+# scan batches 16 steps per block and _rk4_transfer multiplies elementwise
+_SMALL_DIM = 4
+# _rk4_transfer works through pieces of at most this many matrix entries, so
+# each of its temporaries is 64 KB or less: at 1024 steps a piece, dim 3 and 4
+# ran 1.5-2x slower, and dim 9 at 404 steps 1.6x
+_PIECE_ENTRIES = 4096
+# A clamped first rung may start at most this many steps; a drive that needs
+# more is refused before any step is taken
+_MAX_START_STEPS = 2**20
+
+
 def _scan_block(dim: int) -> int:
-    """Steps per block of the driven-run scan: 16 up to dim 4, where a batched
-    d x d product costs less than one Python-level matmul call; else 1."""
-    return 16 if dim <= 4 else 1
+    """Steps per block of the driven-run scan: 16 up to ``_SMALL_DIM``, where a
+    batched d x d product costs less than one Python-level matmul call; else 1."""
+    return 16 if dim <= _SMALL_DIM else 1
 
 
 class IntegrationQualityError(RuntimeError):
@@ -182,16 +194,15 @@ def _as_model(hamiltonian, labels):
     raise TypeError(f"unsupported Hamiltonian input: {type(hamiltonian)!r}")
 
 
-def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
-    """RK4 step matrices from a stack of A = -i h H at t, t+h/2, t+h, t+3h/2, ...
+def _rk4_combine(a0, a1, a2, product):
+    """M - I of the RK4 step from the node stacks A(t), A(t+h/2), A(t+h).
 
-    RK4 is linear in the state, so one step is psi -> M psi, with M the
-    scheme applied to the identity: K1 = A0, K2 = A1 (I + K1/2),
-    K3 = A1 (I + K2/2), K4 = A2 (I + K3), M = I + (K1 + 2 K2 + 2 K3 + K4)/6.
+    K1 = A0, K2 = A1 (I + K1/2), K3 = A1 (I + K2/2), K4 = A2 (I + K3) and
+    M = I + (K1 + 2 K2 + 2 K3 + K4)/6, with ``product`` the batched matrix
+    product of the stacks' layout.
     """
-    a0, a1, a2 = stack[0:-1:2], stack[1::2], stack[2::2]
-    k2 = a1 + 0.5 * (a1 @ a0)
-    k3 = a1 + 0.5 * (a1 @ k2)
+    k2 = a1 + 0.5 * product(a1, a0)
+    k3 = a1 + 0.5 * product(a1, k2)
     # M - I accumulates in place, in the formula's order: a fresh temporary per
     # term would let the allocator return pages that the next chunk faults in
     m = k2
@@ -199,9 +210,45 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     m *= 2.0
     m += a0
     m += a2
-    m += a2 @ k3
-    m /= 6.0
-    diag = np.arange(stack.shape[1])
+    m += product(a2, k3)
+    # numpy divides a complex by 6 + 0j as a product with 1/6: the same bits,
+    # without the complex division loop
+    m *= 1.0 / 6.0
+    return m
+
+
+def _elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a @ b on the (dim, dim, steps) layout: 2 dim - 1 array operations."""
+    out = a[:, :1] * b[0]
+    term = np.empty_like(out)
+    for k in range(1, len(b)):
+        np.multiply(a[:, k:k + 1], b[k], out=term)
+        out += term
+    return out
+
+
+def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
+    """RK4 step matrices from a stack of A = -i h H at t, t+h/2, t+h, t+3h/2, ...
+
+    RK4 is linear in the state, so one step is psi -> M psi, with M the
+    scheme applied to the identity (``_rk4_combine``). Up to ``_SMALL_DIM``
+    the products are formed elementwise on a (dim, dim, steps) copy of the
+    stack; above it, by batched matmul. Either way the steps are taken in
+    pieces of at most ``_PIECE_ENTRIES`` matrix entries.
+    """
+    steps, dim = len(stack) // 2, stack.shape[1]
+    m = np.empty((steps, dim, dim), dtype=complex)
+    piece = max(1, _PIECE_ENTRIES // dim**2)
+    for lo in range(0, steps, piece):
+        part = stack[2 * lo:2 * (lo + piece) + 1]
+        if dim <= _SMALL_DIM:
+            even = np.ascontiguousarray(part[::2].transpose(1, 2, 0))
+            odd = np.ascontiguousarray(part[1::2].transpose(1, 2, 0))
+            m[lo:lo + piece] = _rk4_combine(even[..., :-1], odd, even[..., 1:],
+                                            _elementwise_product).transpose(2, 0, 1)
+        else:
+            m[lo:lo + piece] = _rk4_combine(part[0:-1:2], part[1::2], part[2::2], np.matmul)
+    diag = np.arange(dim)
     m[:, diag, diag] += 1.0
     return m
 
@@ -229,71 +276,127 @@ def _scan(mats: np.ndarray, out: np.ndarray, block: int) -> None:
         np.matmul(mats[full:], out[full], out=out[full + 1:])
 
 
-def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
-    """RK4 over a (dim, n_states) amplitude block.
+class _Block:
+    """One block of levels that holds amplitude, with the columns it holds it in.
 
-    A run of driven steps applies its transfer matrices by a blocked prefix
-    scan (``_scan``), ``_scan_block(dim)`` steps per block. A step is idle
-    when the model reports every drive off at t, t+h/2 and t+h and its
-    static part is diagonal; its transfer matrix is then the factor
-    1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k], so a run of idle steps
-    is its first state times the factor's powers, built once per run, and
-    the Hamiltonian is not sampled there. A ``HamiltonianModel``'s drive
-    coefficients are evaluated once per node: they decide idleness and
-    build the driven steps' Hamiltonians, and a chunk takes the row of its
-    first node from the chunk before. Other models are never idle.
+    ``out`` is the block's own (chunk + 1, levels, columns) state buffer, or
+    the run's full buffer when the block is the whole state. ``powers`` are
+    the idle factor's powers when the block's static part is diagonal, and
+    ``still`` marks a block with no drive term that takes them at every step.
+    """
+
+    def __init__(self, model, rows: np.ndarray, cols: np.ndarray, out: np.ndarray,
+                 chunk_steps: int, h: float):
+        self.model = model
+        self.rows = rows
+        self.cols = cols
+        self.whole = out.shape[1:] == (rows.size, cols.size)
+        if self.whole:
+            self.out = out
+        else:
+            self.out = np.empty((len(out), rows.size, cols.size), dtype=complex)
+            self.out[0] = out[0][np.ix_(rows, cols)]
+        self.scan_block = _scan_block(rows.size)
+        self.powers = None
+        diagonal = getattr(model, "static_diagonal", None)
+        if diagonal is not None:
+            z = -1j * h * diagonal
+            factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+            self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, rows.size)),
+                                     axis=0)[:, :, None]
+        self.still = self.powers is not None and not model.driven
+
+
+def _blocks(model, psi0: np.ndarray) -> list[tuple[object, np.ndarray, np.ndarray]]:
+    """(model, levels, columns) of each block of the model with amplitude in psi0.
+
+    A block holding no amplitude in any column stays exactly zero, so it is
+    left out, and so are the columns it holds none in. A model that is one
+    block is its own block model.
+    """
+    dim, width = psi0.shape
+    levels = getattr(model, "blocks", (np.arange(dim),))
+    if len(levels) == 1:
+        return [(model, levels[0], np.arange(width))]
+    found = []
+    for rows in levels:
+        cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
+        if cols.size:
+            found.append((model.restricted(rows), rows, cols))
+    return found
+
+
+def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
+    """RK4 over a (dim, n_states) amplitude block, each block of H on its own.
+
+    H(t) never couples two of the model's ``blocks``, so each block that holds
+    amplitude is propagated at its own size, on the columns it holds amplitude
+    in; the blocks run in lockstep through each chunk, and populations,
+    maxima and norm drift are taken on the full state. A run of driven steps
+    applies its transfer matrices by a blocked prefix scan (``_scan``). A step
+    is idle when every field's amplitude is zero at t, t+h/2 and t+h (and
+    every driven block's static part is diagonal); its transfer matrix is then
+    the factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k], so a run of
+    idle steps is its first state times the factor's powers, built once per
+    run, and the Hamiltonian is not sampled there. A block with no drive term
+    and a diagonal static part is idle at every step. Drive coefficients are
+    evaluated once per driven run of a chunk and serve every block. Other
+    models are one block and never idle.
     """
     h = grid.step
     n = grid.n_steps
     t0 = grid.t_start
     sample_idx = grid.sample_indices()
     dim, width = psi0.shape
-    chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // dim**2)
-    block = _scan_block(dim)
+    found = _blocks(model, psi0)
+    largest = max(rows.size for _, rows, _ in found)
+    chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2)
 
     samples = np.empty((sample_idx.size, dim, width), dtype=complex)
-    out = np.empty((min(chunk_steps, n) + 1, dim, width), dtype=complex)
+    out = np.zeros((min(chunk_steps, n) + 1, dim, width), dtype=complex)
     out[0] = psi0
     samples[0] = psi0
     max_pops = np.abs(out[0]) ** 2
     drift = float(np.max(np.abs(max_pops.sum(axis=0) - 1.0)))
 
-    coeffs = powers = None
-    if isinstance(model, HamiltonianModel):
-        coeffs = model.coefficients(np.array([t0]))
-        diagonal = model.static_diagonal
-        if diagonal is not None:
-            z = -1j * h * diagonal
-            factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-            powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, dim)), axis=0)[:, :, None]
+    blocks = [_Block(sub, rows, cols, out, chunk_steps, h) for sub, rows, cols in found]
+    moving = [blk for blk in blocks if not blk.still]
+    with_coeffs = isinstance(model, HamiltonianModel)
+    idle_steps = bool(moving) and with_coeffs and all(blk.powers is not None for blk in moving)
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
         nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
-        if coeffs is not None:
-            coeffs = np.concatenate((coeffs[-1:], model.coefficients(nodes[1:])))
-        if powers is None:
-            idle = np.zeros(chunk, dtype=bool)
-        else:
-            free = model.drive_free(nodes, coeffs)
+        if idle_steps:
+            free = model.drive_free(nodes)
             idle = free[0:-1:2] & free[1::2] & free[2::2]
-        edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
+        else:
+            idle = np.zeros(chunk, dtype=bool)
+        edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk] if moving else []
         for a, b in zip(edges, edges[1:]):
             if idle[a]:
-                np.multiply(powers[:b - a], out[a], out=out[a + 1:b + 1])
+                for blk in moving:
+                    np.multiply(blk.powers[:b - a], blk.out[a], out=blk.out[a + 1:b + 1])
                 continue
-            span = slice(2 * a, 2 * b + 1)
-            if coeffs is None:
-                stack = model.sample(nodes[span])
-            else:
-                stack = model.sample(nodes[span], coeffs[span])
-            stack *= -1j * h
-            _scan(_rk4_transfer(stack), out[a:b + 1], block)
+            span = nodes[2 * a:2 * b + 1]
+            coeffs = model.coefficients(span) if with_coeffs else None
+            for blk in moving:
+                stack = blk.model.sample(span) if coeffs is None else blk.model.sample(span, coeffs)
+                stack *= -1j * h
+                _scan(_rk4_transfer(stack), blk.out[a:b + 1], blk.scan_block)
+        for blk in blocks:
+            if blk.still:
+                np.multiply(blk.powers[:chunk], blk.out[0], out=blk.out[1:chunk + 1])
+            if not blk.whole:
+                out[1:chunk + 1, blk.rows[:, None], blk.cols] = blk.out[1:chunk + 1]
+                blk.out[0] = blk.out[chunk]
 
         pops = np.abs(out[1:chunk + 1]) ** 2
         np.maximum(max_pops, pops.max(axis=0), out=max_pops)
+        # einsum sums over the levels as sum(axis=1) does, several times faster
+        norms = np.einsum("sdw->sw", pops)
         # np.maximum, unlike max(), keeps a NaN drift from an overflowed step
-        drift = float(np.maximum(drift, np.max(np.abs(pops.sum(axis=1) - 1.0))))
+        drift = float(np.maximum(drift, np.max(np.abs(norms - 1.0))))
         lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
         samples[lo:hi] = out[sample_idx[lo:hi] - done]
         out[0] = out[chunk]
@@ -422,7 +525,8 @@ def _stability_step(model, grid: TimeGrid) -> float:
 
     The scan probes 257 uniform times plus the peak of every drive envelope
     the model carries, so a pulse narrower than the probe spacing still
-    counts.
+    counts. A clamped step that needs more than ``_MAX_START_STEPS`` steps
+    raises IntegrationQualityError.
     """
     peaks = [env.t_on + env.tau for fld in getattr(model, "fields", ()) for env in fld.envelopes]
     probes = np.concatenate((
@@ -433,7 +537,14 @@ def _stability_step(model, grid: TimeGrid) -> float:
     norm = float(np.max(np.sum(np.abs(stack), axis=2)))
     if norm == 0.0:
         return grid.step
-    return min(grid.step, _STABILITY_FACTOR / norm)
+    step = min(grid.step, _STABILITY_FACTOR / norm)
+    if step < grid.step and grid.span / step > _MAX_START_STEPS:
+        raise IntegrationQualityError(
+            f"drive strength |H|_inf = {norm:.3e} needs a starting step of {step:.3e}, "
+            f"{grid.span / step:.3e} steps over the span; the ladder starts at most "
+            f"{_MAX_START_STEPS} steps"
+        )
+    return step
 
 
 def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,

@@ -21,7 +21,8 @@ class PulseEnvelope:
     """Single smooth pulse: omega_max * sin^2(pi (t - t_on) / (2 tau)).
 
     ``tau`` is the full width at half maximum; the support is
-    [t_on, t_on + 2 tau] and the peak sits at t_on + tau.
+    [t_on, t_on + 2 tau), open at the turn-off, and the peak sits at
+    t_on + tau.
     """
 
     omega_max: float
@@ -39,9 +40,13 @@ class PulseEnvelope:
         return self.t_on + 2.0 * self.tau
 
     def value(self, t):
-        """Envelope amplitude at time(s) t; exactly zero outside the support."""
+        """Envelope amplitude at time(s) t; exactly zero outside the support.
+
+        The turn-off counts as outside, so it reads 0 as the onset does, not
+        the roundoff of sin(pi)^2.
+        """
         local = np.asarray(t, dtype=float) - self.t_on
-        inside = (local >= 0.0) & (local <= 2.0 * self.tau)
+        inside = (local >= 0.0) & (local < 2.0 * self.tau)
         out = np.zeros(local.shape)
         if inside.any():
             out[inside] = self.omega_max * np.sin(np.pi * local[inside] / (2.0 * self.tau)) ** 2

@@ -38,6 +38,10 @@ class HamiltonianModel:
     matrix product. This is the propagator's fast path. With no couplings
     the model is the constant matrix ``static``. ``static_diagonal`` is the
     diagonal of ``static``, or None when ``static`` has off-diagonal entries.
+    ``driven`` is False when every coupling matrix is zero. ``blocks`` holds the connected components of the levels that ``static``
+    or any coupling links, as sorted index arrays ordered by their first
+    level; H(t) never couples two blocks, and ``restricted`` gives the model
+    of one.
     """
 
     def __init__(
@@ -61,6 +65,22 @@ class HamiltonianModel:
         self.static_diagonal = None if off_diagonal.any() else np.diag(self.static).copy()
         mats = [self.static, *(m for _, m_cos, m_sin in self.couplings for m in (m_cos, m_sin))]
         self._stack = np.stack(mats).reshape(len(mats), dim * dim)
+        self.driven = any(m.any() for m in mats[1:])
+        # reachability by repeated squaring: 2^k >= dim - 1 after dim.bit_length() rounds
+        reach = np.any(np.stack(mats) != 0.0, axis=0)
+        reach = (reach | reach.T | np.eye(dim, dtype=bool)).astype(int)
+        for _ in range(dim.bit_length()):
+            reach = np.minimum(reach @ reach, 1)
+        self.blocks = tuple(np.flatnonzero(row) for k, row in enumerate(reach) if row.argmax() == k)
+
+    def restricted(self, levels: np.ndarray) -> "HamiltonianModel":
+        """The model on ``levels`` alone, with the same fields in the same order."""
+        pick = np.ix_(levels, levels)
+        return HamiltonianModel(
+            tuple(self.basis_labels[k] for k in levels),
+            self.static[pick],
+            [(fld, m_cos[pick], m_sin[pick]) for fld, m_cos, m_sin in self.couplings],
+        )
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -73,16 +93,16 @@ class HamiltonianModel:
             coeffs[:, 2 + 2 * k] = amp * np.sin(phase)
         return coeffs
 
-    def drive_free(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
-        """Boolean mask over ``times``: where every drive coefficient is exactly zero.
+    def drive_free(self, times: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``times``: where every field's amplitude is exactly zero.
 
-        Where it holds and ``static_diagonal`` is set, H(t) is that constant
-        diagonal. ``coeffs``, when given, is ``coefficients(times)`` already
-        evaluated.
+        Where it holds, H(t) is ``static``. Phases are not evaluated.
         """
-        if coeffs is None:
-            coeffs = self.coefficients(times)
-        return ~np.any(coeffs[:, 1:] != 0.0, axis=1)
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        free = np.ones(times.shape, dtype=bool)
+        for fld in self.fields:
+            free &= np.asarray(fld.amplitude(times)) == 0.0
+        return free
 
     def sample(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """Hamiltonian stack of shape (len(times), dim, dim).

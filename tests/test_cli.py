@@ -8,6 +8,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -274,6 +275,20 @@ def test_overflowing_simulate_is_an_integration_error(tmp_path, capsys):
     assert rc == 2
     assert "norm drift nan" in capsys.readouterr().err
     assert not (tmp_path / "x" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("peak", ["1e9", "1e200"])
+def test_huge_gate_peak_is_refused_before_stepping(tmp_path, capsys, peak):
+    """A drive whose clamped first rung needs billions of steps exits 2 at once."""
+    argv = ["gate", "--config", str(REPO / "configs" / "phase_gate.yaml"),
+            "--out", str(tmp_path / "x"), "--set", f"gate.peak_rabi={peak}"]
+    start = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "drive strength" in err and "the ladder starts at most" in err
+    assert not (tmp_path / "x" / "gate.json").exists()
 
 
 def test_simulate_is_byte_deterministic(tmp_path):

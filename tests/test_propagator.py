@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stirapgates import (
     LAMBDA_LABELS,
@@ -32,7 +34,13 @@ from stirapgates import (
     sequence_fields,
     time_reversed,
 )
-from stirapgates.propagator import _scan_block
+from stirapgates.propagator import (
+    _CHUNK_ENTRIES,
+    _CHUNK_STEPS,
+    _SMALL_DIM,
+    _rk4_transfer,
+    _scan_block,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 LABELS2 = ("0", "1")
@@ -399,6 +407,18 @@ def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
     return free[0:-1:2] & free[1::2] & free[2::2]
 
 
+def test_a_step_starting_at_a_turn_off_is_idle():
+    model = TripodSystem(drives={"0": DriveField("0", (PulseEnvelope(5.0, 0.5, t_on=0.0),))},
+                         detuning=1.0).model()
+    grid = TimeGrid(0.0, 2.0, 0.125)
+    idle = _idle_mask(model, grid)
+    # the pulse turns off at t = 1, the start of step 8
+    assert not idle[:8].any() and idle[8:].all()
+    counting = _CoefficientCountingModel(model)
+    propagate_many(counting, [basis_state(TRIPOD_LABELS, "0")], grid, check_quality=False)
+    assert np.max(np.concatenate(counting.evaluated)) == 1.0
+
+
 def _longest_run(mask: np.ndarray) -> int:
     edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
     return int(np.max(edges[1::2] - edges[0::2]))
@@ -432,46 +452,121 @@ def test_idle_runs_match_a_staged_rk4(span, idle_end):
             assert abs(traj.norm_drift - drift) < 1e-12, name
 
 
-class _CountingModel(HamiltonianModel):
-    """The same Hamiltonian, recording every batch of times it is sampled at."""
+# Drawn block-wise runs. One short schedule (pulses on [0, 0.5] and [0.8, 1.3],
+# hold between) at step 1e-3: grids of up to 1500 steps cross the 128-, 404-
+# and 1024-step chunks of every block size and start or end in any stretch.
+PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+_FAST = build_schedule(0.2, 0.1, 0.8)
+_COMPLEX = st.builds(complex, st.floats(-1.0, 1.0, allow_subnormal=False),
+                     st.floats(-1.0, 1.0, allow_subnormal=False))
+_LEGS = st.dictionaries(
+    st.sampled_from(("0", "1", "2")),
+    st.tuples(st.sampled_from(("pump", "stokes")), st.floats(0.0, 200.0),
+              st.builds(PhaseRamp, st.just("linear"), st.floats(-4.0, 4.0),
+                        st.floats(-20.0, 20.0))),
+    max_size=3,
+).map(lambda legs: {level: _FAST.drive(level, *leg) for level, leg in legs.items()})
 
-    def __init__(self, model: HamiltonianModel):
-        vars(self).update(vars(model))
-        self.sampled: list[np.ndarray] = []
 
-    def sample(self, times, coeffs=None):
-        self.sampled.append(np.array(times, dtype=float))
-        return super().sample(times, coeffs)
+@st.composite
+def _starts(draw, dim: int) -> list[np.ndarray]:
+    """Basis states and superpositions, which may span blocks or leave some empty."""
+    level = st.integers(0, dim - 1).map(lambda k: np.eye(dim, dtype=complex)[k])
+    spread = st.lists(st.one_of(st.just(0j), _COMPLEX), min_size=dim, max_size=dim).map(
+        lambda amps: np.array(amps)).filter(lambda amps: np.linalg.norm(amps) > 0.1)
+    columns = draw(st.lists(st.one_of(level, spread), min_size=1, max_size=3))
+    return [amps / np.linalg.norm(amps) for amps in columns]
 
 
-def test_idle_steps_are_not_sampled():
-    sched = build_schedule(1.0, 0.8, 20.0)
-    model = TwoAtomSystem(drives={
-        "1": DriveField("1", sched.pump_envelopes(60.0)),
-        "2": DriveField("2", sched.stokes_envelopes(60.0)),
-    }, detuning=0.3, interaction_shift=0.5).model()
-    counting = _CountingModel(model)
-    grid = TimeGrid(sched.t_start, sched.support_end, 5e-3, sample_stride=9)
-    idle = _idle_mask(model, grid)
-    assert idle.mean() > 0.7
+@st.composite
+def _block_cases(draw):
+    legs, detuning = draw(_LEGS), draw(st.floats(-20.0, 20.0))
+    if draw(st.booleans()):
+        system = TwoAtomSystem(legs, detuning, draw(st.floats(-20.0, 20.0)))
+    else:
+        system = TripodSystem(legs, detuning)
+    model = system.model()
+    starts = [StateVector(amps, model.basis_labels) for amps in draw(_starts(model.dim))]
+    t_start = draw(st.floats(-0.1, 1.3))
+    grid = TimeGrid(t_start, t_start + 1e-3 * draw(st.integers(1, 1500)), 1e-3,
+                    sample_stride=draw(st.integers(1, 40)))
+    return model, starts, grid
 
-    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11")]
-    counted = propagate_many(counting, starts, grid, check_quality=False)
-    plain = propagate_many(model, starts, grid, check_quality=False)
-    for a, b in zip(counted, plain):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.max_populations, b.max_populations)
-        assert a.norm_drift == b.norm_drift
 
-    # the sampled nodes are exactly the nodes of the driven steps
-    sampled = np.concatenate(counting.sampled)
-    half_steps = np.rint((sampled - grid.t_start) / (0.5 * grid.step)).astype(int)
-    driven = np.flatnonzero(~idle)
-    assert set(half_steps.tolist()) == set((2 * driven[:, None] + np.arange(3)).ravel().tolist())
+def _paper_pair_case():
+    """The gate's pair (legs 1 and 2: blocks of 1, 3, 3 and 9 levels) across the hold,
+    from 11, from an equal superposition of the four qubit starts, and from 01."""
+    model = TwoAtomSystem({"1": _FAST.drive("1", "pump", 150.0),
+                           "2": _FAST.drive("2", "stokes", 150.0)}, 3.0, 0.5).model()
+    spread = np.zeros(16, dtype=complex)
+    spread[[TWO_ATOM_LABELS.index(lv) for lv in ("00", "01", "10", "11")]] = 0.5
+    starts = [basis_state(TWO_ATOM_LABELS, "11"), StateVector(spread, TWO_ATOM_LABELS),
+              basis_state(TWO_ATOM_LABELS, "01")]
+    return model, starts, TimeGrid(0.3, 1.3, 1e-3, sample_stride=7)
+
+
+def _split_tripod_case():
+    """A tripod with leg 2 undriven, so level 2 is a block of its own."""
+    model = TripodSystem({"0": _FAST.drive("0", "pump", 80.0),
+                          "1": _FAST.drive("1", "stokes", 120.0)}, -2.0).model()
+    spread = np.array([0.6, 0.0, 0.8j, 0.0])
+    starts = [basis_state(TRIPOD_LABELS, "2"), StateVector(spread, TRIPOD_LABELS)]
+    return model, starts, TimeGrid(-0.05, 1.25, 1e-3, sample_stride=5)
+
+
+@PROPERTIES
+@given(case=_block_cases())
+@example(case=_paper_pair_case())
+@example(case=_split_tripod_case())
+def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
+    """Each block at its own size equals RK4 on the full matrix; a batch equals its columns."""
+    model, starts, grid = case
+    levels = np.concatenate(model.blocks)
+    assert sorted(levels.tolist()) == list(range(model.dim))
+    stack = model.sample(grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1))
+    for rows in model.blocks:
+        others = np.setdiff1d(np.arange(model.dim), rows)
+        assert not stack[:, rows[:, None], others].any()
+
+    trajs = propagate_many(model, starts, grid, check_quality=False)
+    block = np.stack([st.amplitudes for st in starts], axis=1)
+    states, max_pops, drift = _staged_rk4(model.sample, block, grid)
+    for j, traj in enumerate(trajs):
+        assert np.max(np.abs(traj.states - states[:, :, j])) < 1e-12
+        assert np.max(np.abs(traj.max_populations - max_pops[:, j])) < 1e-12
+        assert abs(traj.norm_drift - drift) < 1e-12
+        (alone,) = propagate_many(model, [starts[j]], grid, check_quality=False)
+        assert np.max(np.abs(alone.states - traj.states)) < 1e-14
+        assert np.array_equal(alone.max_populations == 0.0, traj.max_populations == 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(dim=st.integers(1, _SMALL_DIM), steps=st.integers(1, 700),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1.0))
+def test_elementwise_transfer_matches_the_matmul_form(dim, steps, seed, scale):
+    """Up to the small-dim threshold the products are elementwise; the matmul RK4 agrees.
+
+    Each A = -i h H is drawn within the ladder's stability clamp, infinity
+    norm at most 0.8, so M stays of order one.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (2 * steps + 1, dim, dim)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack *= 0.8 * scale / np.max(np.sum(np.abs(stack), axis=2))
+    a0, a1, a2 = stack[0:-1:2], stack[1::2], stack[2::2]
+    k2 = a1 + 0.5 * (a1 @ a0)
+    k3 = a1 + 0.5 * (a1 @ k2)
+    expected = np.eye(dim) + (a0 + 2.0 * (k2 + k3) + a2 + a2 @ k3) / 6.0
+    assert np.max(np.abs(_rk4_transfer(stack) - expected)) <= 1e-15
 
 
 class _CoefficientCountingModel(HamiltonianModel):
-    """The same Hamiltonian, recording every batch of times its drives are evaluated at."""
+    """The same Hamiltonian, recording every batch of times its drives are evaluated at.
+
+    The propagator samples each block through a restricted model, so the
+    drive coefficients, which it evaluates once on this model and shares
+    with every block, are where its work on each node shows.
+    """
 
     def __init__(self, model: HamiltonianModel):
         vars(self).update(vars(model))
@@ -482,38 +577,87 @@ class _CoefficientCountingModel(HamiltonianModel):
         return super().coefficients(times)
 
 
-class _ReevaluatingModel(HamiltonianModel):
-    """The same Hamiltonian, evaluating the drives again for every sampled stack."""
-
-    def __init__(self, model: HamiltonianModel):
-        vars(self).update(vars(model))
-
-    def sample(self, times, coeffs=None):
-        return super().sample(times)
+def _half_steps(times: list[np.ndarray], grid: TimeGrid) -> np.ndarray:
+    return np.rint((np.concatenate(times) - grid.t_start) / (0.5 * grid.step)).astype(int)
 
 
-def test_drive_coefficients_are_evaluated_once_per_node():
-    """One coefficients pass per node decides idleness and builds the driven steps."""
+def _driven_nodes(idle: np.ndarray) -> np.ndarray:
+    """Node counts (half steps) over the grid: 1 on a node of a driven step, else 0."""
+    touched = np.zeros(2 * idle.size + 1, dtype=int)
+    driven = np.flatnonzero(~idle)
+    touched[(2 * driven[:, None] + np.arange(3)).ravel()] = 1
+    return touched
+
+
+def _gapped_pair():
     sched = build_schedule(1.0, 0.8, 20.0)
     model = TwoAtomSystem(drives={
         "1": DriveField("1", sched.pump_envelopes(60.0)),
         "2": DriveField("2", sched.stokes_envelopes(60.0), PhaseRamp(kind="linear", slope=0.7)),
     }, detuning=0.3, interaction_shift=0.5).model()
     grid = TimeGrid(sched.t_start, sched.support_end, 5e-3, sample_stride=9)
+    return model, grid
+
+
+def test_idle_steps_are_not_sampled(monkeypatch):
+    """No block samples an idle node, and no drive is evaluated there."""
+    model, grid = _gapped_pair()
+    idle = _idle_mask(model, grid)
+    assert idle.mean() > 0.7
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11")]
+    plain = propagate_many(model, starts, grid, check_quality=False)
+
+    sampled = []
+    sample = HamiltonianModel.sample
+
+    def recording(self, times, coeffs=None):
+        sampled.append(np.array(times, dtype=float))
+        return sample(self, times, coeffs)
+
+    monkeypatch.setattr(HamiltonianModel, "sample", recording)
+    counting = _CoefficientCountingModel(model)
+    counted = propagate_many(counting, starts, grid, check_quality=False)
+    for a, b in zip(counted, plain):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.max_populations, b.max_populations)
+        assert a.norm_drift == b.norm_drift
+
+    # the evaluated and the sampled nodes are exactly the nodes of the driven steps
+    driven = set(np.flatnonzero(_driven_nodes(idle)).tolist())
+    assert set(_half_steps(counting.evaluated, grid).tolist()) == driven
+    assert set(_half_steps(sampled, grid).tolist()) == driven
+
+
+def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
+    """One coefficients pass per driven node serves every block and never an idle node.
+
+    A chunk evaluates its own driven runs, so a chunk edge with a driven step
+    on both sides is evaluated once by each of the two chunks.
+    """
+    model, grid = _gapped_pair()
     idle = _idle_mask(model, grid)
     assert idle.any() and not idle.all()
-    # dim-16 chunks hold 128 steps, so the grid crosses many chunk boundaries
-    assert grid.n_steps > 10 * 128
+    # the largest block of the driven starts has dim 9, so chunks hold 404
+    # steps and the grid crosses many chunk edges
+    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 9**2)
+    assert chunk == 404 and grid.n_steps > 10 * chunk
 
     starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11", "22")]
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
-    evaluated = np.concatenate(counting.evaluated)
-    half_steps = np.rint((evaluated - grid.t_start) / (0.5 * grid.step)).astype(int)
-    assert sorted(half_steps.tolist()) == list(range(2 * grid.n_steps + 1))
+    expected = _driven_nodes(idle)
+    edges = np.arange(chunk, grid.n_steps, chunk)
+    shared = edges[~idle[edges - 1] & ~idle[edges]]
+    assert shared.size > 0
+    expected[2 * shared] += 1
+    counts = np.bincount(_half_steps(counting.evaluated, grid), minlength=expected.size)
+    assert np.array_equal(counts, expected)
 
-    # the reused coefficients give the same bits as evaluating them again
-    reevaluated = propagate_many(_ReevaluatingModel(model), starts, grid, check_quality=False)
+    # the shared coefficients give the same bits as every block evaluating its own
+    sample = HamiltonianModel.sample
+    monkeypatch.setattr(HamiltonianModel, "sample",
+                        lambda self, times, coeffs=None: sample(self, times))
+    reevaluated = propagate_many(model, starts, grid, check_quality=False)
     for a, b in zip(counted, reevaluated):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.max_populations, b.max_populations)

@@ -35,6 +35,15 @@ def test_envelope_exactly_zero_outside_support():
     assert env.value(-50.0) == 0.0
 
 
+def test_envelope_turn_off_is_exactly_zero():
+    # the support is open at the turn-off: sin(pi)^2 would leave 1.5e-32 * peak there
+    env = PulseEnvelope(omega_max=1e3, tau=0.7, t_on=0.3)
+    assert env.value(env.t_off) == 0.0
+    assert env.value(env.t_on) == 0.0
+    assert np.all(env.value(np.array([env.t_on, env.t_off])) == 0.0)
+    assert env.value(np.nextafter(env.t_off, 0.0)) > 0.0
+
+
 def test_envelope_vectorized_matches_scalar():
     env = PulseEnvelope(omega_max=1.7, tau=0.8, t_on=-0.3)
     times = np.linspace(-1.0, 2.0, 77)
