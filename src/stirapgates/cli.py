@@ -543,16 +543,6 @@ def _dump_resolved_config(out_dir: str, canonical: dict) -> None:
 # Commands
 
 
-def _prepare(args) -> tuple[dict, ExperimentConfig, str]:
-    raw = load_config(args.config)
-    for assignment in args.overrides:
-        apply_override(raw, assignment)
-    cfg = parse_config(raw)
-    out_dir = args.out or cfg.output_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return raw, cfg, out_dir
-
-
 def _summary_payload(traj, report) -> dict:
     labels = traj.basis_labels
     return {
@@ -585,18 +575,10 @@ def _gate_payload(report: GateReport) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    _, cfg, out_dir = _prepare(args)
-    canonical = config_to_dict(cfg)
+def cmd_simulate(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     traj, report = _run_trajectory(cfg)
     _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     _write_json(os.path.join(out_dir, "summary.json"), _summary_payload(traj, report))
-    _dump_resolved_config(out_dir, canonical)
-    _write_manifest(
-        out_dir, "simulate", canonical,
-        ["trajectory.csv", "summary.json", "resolved_config.yaml"], started,
-    )
     print(
         f"simulate: {len(traj.times)} samples, step {traj.step:.3e}, "
         f"norm drift {traj.norm_drift:.3e} -> {out_dir}"
@@ -608,17 +590,12 @@ def cmd_simulate(args) -> int:
             + " | distances "
             + " ".join(f"{d:.3e}" for d in report.distances)
         )
-    return 0
+    return ["trajectory.csv", "summary.json"], 0
 
 
-def cmd_gate(args) -> int:
-    started = time.monotonic()
-    _, cfg, out_dir = _prepare(args)
-    canonical = config_to_dict(cfg)
+def cmd_gate(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     report = _run_gate(cfg)
     _write_json(os.path.join(out_dir, "gate.json"), _gate_payload(report))
-    _dump_resolved_config(out_dir, canonical)
-    _write_manifest(out_dir, "gate", canonical, ["gate.json", "resolved_config.yaml"], started)
     print(
         f"gate {report.kind}: fidelity {report.fidelity:.6f}, "
         f"leakage {report.leakage:.3e} -> {out_dir}"
@@ -627,7 +604,7 @@ def cmd_gate(args) -> int:
         print(f"  achieved phase {report.phase}, predicted {report.predicted_phase}")
         if report.note:
             print(f"  note: {report.note}")
-    return 0
+    return ["gate.json"], 0
 
 
 # gate.json fields that a gate sweep tabulates
@@ -671,10 +648,7 @@ def _sweep_point(payload: tuple[dict, list[tuple[str, float]]]) -> dict:
     return row
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
-    raw, cfg, out_dir = _prepare(args)
-    canonical = config_to_dict(cfg)
+def cmd_sweep(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     if not cfg.sweep_axes:
         raise ConfigError("sweep: section with at least one axis is required")
     if cfg.gate is not None:
@@ -701,8 +675,6 @@ def cmd_sweep(args) -> int:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row.get(c, math.nan)) for c in columns])
-    _dump_resolved_config(out_dir, canonical)
-    _write_manifest(out_dir, "sweep", canonical, ["sweep.csv", "resolved_config.yaml"], started)
     failures = sum(1 for row in rows if row["error"])
     print(
         f"sweep: {len(rows)} points over {names}, {failures} failed, "
@@ -714,31 +686,33 @@ def cmd_sweep(args) -> int:
                 if row["error"]:
                     vals = ", ".join(f"{n}={row[n]}" for n in names)
                     print(f"  failed at {vals}: {row['error']}", file=sys.stderr)
-        return 3
-    return 0
+        return ["sweep.csv"], 3
+    return ["sweep.csv"], 0
 
 
-def cmd_phase(args) -> int:
-    started = time.monotonic()
-    _, cfg, out_dir = _prepare(args)
-    canonical = config_to_dict(cfg)
+def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
+    """Drives are picked by role, for every system kind: the one stokes drive,
+    and the pump drives, whose combined peak is the hypot of their peaks."""
     schedule = _build_schedule(cfg.schedule)
-    by_level = {d.level: d for d in cfg.drives}
     kind = cfg.system.kind
-    if kind in ("lambda", "tripod"):
-        stokes_level = "s" if kind == "lambda" else "2"
-        stokes = by_level.get(stokes_level)
-        if stokes is None:
-            raise ConfigError(
-                f"drives: the phase command needs a stokes drive on level {stokes_level!r}"
-            )
-        pumps = [d for d in cfg.drives if d.role == "pump"]
-        if not pumps:
-            raise ConfigError("drives: the phase command needs at least one pump drive")
-        combined = math.hypot(*[d.peak_rabi for d in pumps])
+    shift = cfg.system.interaction_shift
+    if kind == "two_atom" and shift == 0.0:
+        raise ConfigError(
+            "system.interaction_shift: must be nonzero for two-atom phase prediction"
+        )
+    stokes = [d for d in cfg.drives if d.role == "stokes"]
+    pumps = [d for d in cfg.drives if d.role == "pump"]
+    if len(stokes) != 1 or not pumps:
+        raise ConfigError(
+            "drives: the phase command needs exactly one stokes drive and at least one "
+            f"pump drive, got {len(stokes)} and {len(pumps)}"
+        )
+    (stokes,) = stokes
+    peak_pump = math.hypot(*[d.peak_rabi for d in pumps])
+    if kind != "two_atom":
         ramp = _build_ramp(stokes)
         est = berry_phase_numeric(
-            schedule, ramp, peak_pump=combined, peak_stokes=stokes.peak_rabi
+            schedule, ramp, peak_pump=peak_pump, peak_stokes=stokes.peak_rabi
         )
         closed = berry_phase_closed_form(schedule, ramp)
         payload = {
@@ -749,15 +723,8 @@ def cmd_phase(args) -> int:
             "difference": est.value - closed,
         }
     else:
-        shift = cfg.system.interaction_shift
-        if shift == 0.0:
-            raise ConfigError(
-                "system.interaction_shift: must be nonzero for two-atom phase prediction"
-            )
-        peak_1 = by_level["1"].peak_rabi if "1" in by_level else 1.0
-        peak_2 = by_level["2"].peak_rabi if "2" in by_level else 1.0
-        est = two_qubit_phase(schedule, shift, peak_1=peak_1, peak_2=peak_2)
-        wz = wz_propagate(schedule, shift, peak_1=peak_1, peak_2=peak_2)
+        est = two_qubit_phase(schedule, shift, peak_1=peak_pump, peak_2=stokes.peak_rabi)
+        wz = wz_propagate(schedule, shift, peak_1=peak_pump, peak_2=stokes.peak_rabi)
         payload = {
             "kind": kind,
             "quadrature": est.value,
@@ -768,11 +735,26 @@ def cmd_phase(args) -> int:
             "terminal_mixing": wz.terminal_mixing,
         }
     _write_json(os.path.join(out_dir, "phase.json"), payload)
-    _dump_resolved_config(out_dir, canonical)
-    _write_manifest(out_dir, "phase", canonical, ["phase.json", "resolved_config.yaml"], started)
     keys = [k for k in payload if k != "kind"]
     print("phase: " + ", ".join(f"{k} {payload[k]:.9g}" for k in keys) + f" -> {out_dir}")
-    return 0
+    return ["phase.json"], 0
+
+
+def _run_command(args) -> int:
+    """Load the config with its overrides, run the command, then write the
+    resolved config and a manifest of every file the command wrote."""
+    started = time.monotonic()
+    raw = load_config(args.config)
+    for assignment in args.overrides:
+        apply_override(raw, assignment)
+    cfg = parse_config(raw)
+    out_dir = args.out or cfg.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    outputs, code = args.func(args, raw, cfg, out_dir)
+    canonical = config_to_dict(cfg)
+    _dump_resolved_config(out_dir, canonical)
+    _write_manifest(out_dir, args.command, canonical, [*outputs, "resolved_config.yaml"], started)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _run_command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

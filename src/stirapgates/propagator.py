@@ -4,14 +4,15 @@ The integrator is the classical fourth-order Runge-Kutta scheme on a
 uniform grid. The scheme is linear in the state, so each step is one
 transfer matrix, built for a whole chunk of steps at once from the sampled
 Hamiltonians; a run of such steps is applied as a blocked prefix scan. Where
-every drive is off and the static part is diagonal, the transfer matrix is
-a fixed per-level factor, so such runs of steps are filled with its powers
-without sampling. Norm drift and maximum populations still cover every
-step, not just the sampled ones. The state is never renormalized; the norm
-defect is a diagnostic that reports integration quality, and
-``converge_many`` halves the step until successive terminal states agree. Phases are unwrapped along
-the time axis only while a level is populated; across depopulated gaps the
-last defined value is frozen and unwrapping resumes relative to it.
+every drive acting on a block of levels is off and the block's static part
+is diagonal, the transfer matrix is a fixed per-level factor, so such runs
+of steps are filled with its powers without sampling. Norm drift and
+maximum populations still cover every step, not just the sampled ones. The
+state is never renormalized; the norm defect is a diagnostic that reports
+integration quality, and ``converge_many`` halves the step until successive
+terminal states agree. Phases are unwrapped along the time axis only while
+a level is populated; across depopulated gaps the last defined value is
+frozen and unwrapping resumes relative to it.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 2**15
 
 
-# Up to this dim a batched d x d matmul is bound by its per-call overhead: the
-# scan batches 16 steps per block and _rk4_transfer multiplies elementwise
+# Up to this dim a batched d x d matmul is bound by its per-call overhead, so
+# _rk4_transfer multiplies elementwise
 _SMALL_DIM = 4
+# Steps per block of the driven-run scan at every dim: at dim 9, width 1, it
+# took 1.0-1.5 us a step against 3.1 us with one step per block
+_SCAN_STEPS = 16
 # _rk4_transfer works through pieces of at most this many matrix entries, so
 # each of its temporaries is 64 KB or less: at 1024 steps a piece, dim 3 and 4
 # ran 1.5-2x slower, and dim 9 at 404 steps 1.6x
@@ -45,12 +49,6 @@ _PIECE_ENTRIES = 4096
 # A clamped first rung may start at most this many steps; a drive that needs
 # more is refused before any step is taken
 _MAX_START_STEPS = 2**20
-
-
-def _scan_block(dim: int) -> int:
-    """Steps per block of the driven-run scan: 16 up to ``_SMALL_DIM``, where a
-    batched d x d product costs less than one Python-level matmul call; else 1."""
-    return 16 if dim <= _SMALL_DIM else 1
 
 
 class IntegrationQualityError(RuntimeError):
@@ -77,6 +75,9 @@ class TimeGrid:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("t_start", "t_end", "base_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
         if not self.base_step > 0.0:
@@ -253,22 +254,23 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     return m
 
 
-def _scan(mats: np.ndarray, out: np.ndarray, block: int) -> None:
+def _scan(mats: np.ndarray, out: np.ndarray) -> None:
     """States out[k] = M_k ... M_1 out[0], k = 1..L, for a run of transfer matrices.
 
     ``mats`` (L, dim, dim) is overwritten with the in-block products
-    P_i = M_i ... M_1, each block of ``block`` steps starting afresh, built
-    for all blocks at once. One matrix-vector product per block carries the
-    state to the next block start; one batched product then fills every
-    state inside the blocks. With ``block`` 1 this is one product per step.
+    P_i = M_i ... M_1, each block of ``_SCAN_STEPS`` steps starting afresh,
+    built for all blocks at once. One matrix-vector product per block carries
+    the state to the next block start; one batched product then fills every
+    state inside the blocks.
     """
+    block = _SCAN_STEPS
     for i in range(1, min(block, len(mats))):
         ith = mats[i::block]
         np.matmul(ith, mats[i - 1::block][:len(ith)], out=ith)
     full = len(mats) // block * block
     for p, psi, nxt in zip(mats[block - 1:full:block], out[:full:block], out[block:full + 1:block]):
         np.matmul(p, psi, out=nxt)
-    if block > 1 and full:
+    if full:
         inner = out[1:full + 1].reshape(full // block, block, *out.shape[1:])[:, :-1]
         prods = mats[:full].reshape(full // block, block, *mats.shape[1:])[:, :-1]
         np.matmul(prods, out[:full:block, None], out=inner)
@@ -281,8 +283,8 @@ class _Block:
 
     ``out`` is the block's own (chunk + 1, levels, columns) state buffer, or
     the run's full buffer when the block is the whole state. ``powers`` are
-    the idle factor's powers when the block's static part is diagonal, and
-    ``still`` marks a block with no drive term that takes them at every step.
+    the idle factor's powers when the block's static part is diagonal, else
+    None: the idle factor is the RK4 step for the constant A = -i h static.
     """
 
     def __init__(self, model, rows: np.ndarray, cols: np.ndarray, out: np.ndarray,
@@ -296,15 +298,13 @@ class _Block:
         else:
             self.out = np.empty((len(out), rows.size, cols.size), dtype=complex)
             self.out[0] = out[0][np.ix_(rows, cols)]
-        self.scan_block = _scan_block(rows.size)
         self.powers = None
         diagonal = getattr(model, "static_diagonal", None)
         if diagonal is not None:
             z = -1j * h * diagonal
-            factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+            factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
             self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, rows.size)),
                                      axis=0)[:, :, None]
-        self.still = self.powers is not None and not model.driven
 
 
 def _blocks(model, psi0: np.ndarray) -> list[tuple[object, np.ndarray, np.ndarray]]:
@@ -332,16 +332,14 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     H(t) never couples two of the model's ``blocks``, so each block that holds
     amplitude is propagated at its own size, on the columns it holds amplitude
     in; the blocks run in lockstep through each chunk, and populations,
-    maxima and norm drift are taken on the full state. A run of driven steps
-    applies its transfer matrices by a blocked prefix scan (``_scan``). A step
-    is idle when every field's amplitude is zero at t, t+h/2 and t+h (and
-    every driven block's static part is diagonal); its transfer matrix is then
-    the factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = -i h H[k, k], so a run of
-    idle steps is its first state times the factor's powers, built once per
-    run, and the Hamiltonian is not sampled there. A block with no drive term
-    and a diagonal static part is idle at every step. Drive coefficients are
-    evaluated once per driven run of a chunk and serve every block. Other
-    models are one block and never idle.
+    maxima and norm drift are taken on the full state. The drive coefficients
+    of a HamiltonianModel are evaluated once per chunk, at every node, and
+    serve every block. A step is idle for a block when the block's static
+    part is diagonal and every coefficient that acts on its levels is zero at
+    t, t+h/2 and t+h (``drive_free``); a run of idle steps is its first state
+    times the powers of the idle factor, and the block is not sampled there.
+    A run of driven steps applies its transfer matrices by a blocked prefix
+    scan (``_scan``). Other models are one block and never idle.
     """
     h = grid.step
     n = grid.n_steps
@@ -360,33 +358,30 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     drift = float(np.max(np.abs(max_pops.sum(axis=0) - 1.0)))
 
     blocks = [_Block(sub, rows, cols, out, chunk_steps, h) for sub, rows, cols in found]
-    moving = [blk for blk in blocks if not blk.still]
     with_coeffs = isinstance(model, HamiltonianModel)
-    idle_steps = bool(moving) and with_coeffs and all(blk.powers is not None for blk in moving)
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
         nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
-        if idle_steps:
-            free = model.drive_free(nodes)
-            idle = free[0:-1:2] & free[1::2] & free[2::2]
-        else:
-            idle = np.zeros(chunk, dtype=bool)
-        edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk] if moving else []
-        for a, b in zip(edges, edges[1:]):
-            if idle[a]:
-                for blk in moving:
-                    np.multiply(blk.powers[:b - a], blk.out[a], out=blk.out[a + 1:b + 1])
-                continue
-            span = nodes[2 * a:2 * b + 1]
-            coeffs = model.coefficients(span) if with_coeffs else None
-            for blk in moving:
-                stack = blk.model.sample(span) if coeffs is None else blk.model.sample(span, coeffs)
-                stack *= -1j * h
-                _scan(_rk4_transfer(stack), blk.out[a:b + 1], blk.scan_block)
+        coeffs = model.coefficients(nodes) if with_coeffs else None
         for blk in blocks:
-            if blk.still:
-                np.multiply(blk.powers[:chunk], blk.out[0], out=blk.out[1:chunk + 1])
+            if blk.powers is None:
+                idle = np.zeros(chunk, dtype=bool)
+            else:
+                free = blk.model.drive_free(coeffs)
+                idle = free[0:-1:2] & free[1::2] & free[2::2]
+            edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
+            for a, b in zip(edges, edges[1:]):
+                if idle[a]:
+                    np.multiply(blk.powers[:b - a], blk.out[a], out=blk.out[a + 1:b + 1])
+                    continue
+                span = slice(2 * a, 2 * b + 1)
+                if coeffs is None:
+                    stack = blk.model.sample(nodes[span])
+                else:
+                    stack = blk.model.sample(nodes[span], coeffs[span])
+                stack *= -1j * h
+                _scan(_rk4_transfer(stack), blk.out[a:b + 1])
             if not blk.whole:
                 out[1:chunk + 1, blk.rows[:, None], blk.cols] = blk.out[1:chunk + 1]
                 blk.out[0] = blk.out[chunk]

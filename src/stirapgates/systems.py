@@ -38,7 +38,7 @@ class HamiltonianModel:
     matrix product. This is the propagator's fast path. With no couplings
     the model is the constant matrix ``static``. ``static_diagonal`` is the
     diagonal of ``static``, or None when ``static`` has off-diagonal entries.
-    ``driven`` is False when every coupling matrix is zero. ``blocks`` holds the connected components of the levels that ``static``
+    ``blocks`` holds the connected components of the levels that ``static``
     or any coupling links, as sorted index arrays ordered by their first
     level; H(t) never couples two blocks, and ``restricted`` gives the model
     of one.
@@ -65,7 +65,8 @@ class HamiltonianModel:
         self.static_diagonal = None if off_diagonal.any() else np.diag(self.static).copy()
         mats = [self.static, *(m for _, m_cos, m_sin in self.couplings for m in (m_cos, m_sin))]
         self._stack = np.stack(mats).reshape(len(mats), dim * dim)
-        self.driven = any(m.any() for m in mats[1:])
+        # the coefficient columns whose matrix acts on these levels
+        self._drive_columns = 1 + np.flatnonzero(self._stack[1:].any(axis=1))
         # reachability by repeated squaring: 2^k >= dim - 1 after dim.bit_length() rounds
         reach = np.any(np.stack(mats) != 0.0, axis=0)
         reach = (reach | reach.T | np.eye(dim, dtype=bool)).astype(int)
@@ -93,16 +94,13 @@ class HamiltonianModel:
             coeffs[:, 2 + 2 * k] = amp * np.sin(phase)
         return coeffs
 
-    def drive_free(self, times: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``times``: where every field's amplitude is exactly zero.
+    def drive_free(self, coeffs: np.ndarray) -> np.ndarray:
+        """Boolean mask over the rows of ``coefficients(times)``: where every
+        coefficient whose matrix acts on this model's levels is exactly zero.
 
-        Where it holds, H(t) is ``static``. Phases are not evaluated.
+        Where it holds, H(t) is ``static``.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        free = np.ones(times.shape, dtype=bool)
-        for fld in self.fields:
-            free &= np.asarray(fld.amplitude(times)) == 0.0
-        return free
+        return ~np.any(coeffs[:, self._drive_columns] != 0.0, axis=1)
 
     def sample(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """Hamiltonian stack of shape (len(times), dim, dim).

@@ -550,6 +550,33 @@ def test_phase_prediction_needs_an_interaction_shift(tmp_path, capsys):
     assert "interaction_shift" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, drives", [
+    # the tripod's level-2 drive is a pump, so no drive is the stokes
+    ("tripod", [{"level": "0", "role": "pump", "peak_rabi": 120.0},
+                {"level": "2", "role": "pump", "peak_rabi": 120.0}]),
+    ("two_atom", [{"level": "1", "role": "pump", "peak_rabi": 120.0}]),
+])
+def test_phase_prediction_needs_one_stokes_drive(tmp_path, capsys, kind, drives):
+    raw = {
+        "system": {"kind": kind, "interaction_shift": 0.01},
+        "schedule": {"tau": 1.0, "pulse_delay": 0.5, "sequence_delay": 4.0},
+        "drives": drives,
+    }
+    out = tmp_path / "x"
+    assert main(["phase", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert "drives" in capsys.readouterr().err
+    assert not (out / "phase.json").exists()
+
+
+def test_two_atom_phase_prediction_reads_the_stokes_drive_by_role(tmp_path):
+    config = str(REPO / "configs" / "collisional_phase_prediction.yaml")
+    assert main(["phase", "--config", config, "--out", str(tmp_path / "shipped")]) == 0
+    assert main(["phase", "--config", config, "--out", str(tmp_path / "moved"),
+                 "--set", "drives.1.level=0"]) == 0
+    shipped = (tmp_path / "shipped" / "phase.json").read_bytes()
+    assert (tmp_path / "moved" / "phase.json").read_bytes() == shipped
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

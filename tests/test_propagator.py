@@ -37,9 +37,9 @@ from stirapgates import (
 from stirapgates.propagator import (
     _CHUNK_ENTRIES,
     _CHUNK_STEPS,
+    _SCAN_STEPS,
     _SMALL_DIM,
     _rk4_transfer,
-    _scan_block,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -81,6 +81,11 @@ def test_grid_validation():
         TimeGrid(t_start=0.0, t_end=1.0, base_step=0.0, sample_stride=1)
     with pytest.raises(ValueError):
         TimeGrid(t_start=0.0, t_end=1.0, base_step=0.1, sample_stride=0)
+    for name in ("t_start", "t_end", "base_step"):
+        for bad in (math.inf, -math.inf):
+            values = {"t_start": 0.0, "t_end": 1.0, "base_step": 0.1, name: bad}
+            with pytest.raises(ValueError, match=name):
+                TimeGrid(**values)
     for stride in (True, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="sample_stride"):
             TimeGrid(t_start=0.0, t_end=1.0, base_step=0.1, sample_stride=stride)
@@ -343,20 +348,21 @@ def test_driven_run_scan_matches_a_staged_rk4():
     """Driven runs of every length against the scan's block, cut by idle runs.
 
     Runs of 1, B - 1, B, B + 1 and 3B + 5 steps start at the grid start and
-    after 7 idle steps each, inside one chunk; a 61-step run crosses the
-    chunk edge at step 1024 (a multiple of the 128-step dim-16 chunk).
+    after 7 idle steps each, inside one chunk. A 40-step run crosses step
+    808, an edge of the pair's 404-step chunks (its largest block has 9
+    levels), and a 61-step run crosses step 1024, the chunk edge of the
+    3- and 4-level models.
     """
     t_on, cases = _cross_check_cases()
     for name, (model, _, starts) in cases.items():
         if not isinstance(model, HamiltonianModel):
             continue
-        block = _scan_block(model.dim)
+        block = _SCAN_STEPS
         runs, first = [], 0
         for length in (1, block - 1, block, block + 1, 3 * block + 5):
-            if length > 0:
-                runs.append((first, length))
-                first += length + 7
-        runs.append((1000, 61))
+            runs.append((first, length))
+            first += length + 7
+        runs += [(790, 40), (1000, 61)]
         grid = TimeGrid(t_on, t_on + 2.2, 2e-3, sample_stride=3)
         assert grid.n_steps == 1100
         pulsed = _pulsed(model, runs, grid)
@@ -401,22 +407,22 @@ def _hold_cases():
 def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
     """Steps whose three RK4 nodes are all drive-free."""
     nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
-    free = model.drive_free(nodes)
+    free = model.drive_free(model.coefficients(nodes))
     diagonal = model.static_diagonal
     assert diagonal is not None and np.any(diagonal != 0.0)
     return free[0:-1:2] & free[1::2] & free[2::2]
 
 
-def test_a_step_starting_at_a_turn_off_is_idle():
+def test_a_step_starting_at_a_turn_off_is_idle(monkeypatch):
     model = TripodSystem(drives={"0": DriveField("0", (PulseEnvelope(5.0, 0.5, t_on=0.0),))},
                          detuning=1.0).model()
     grid = TimeGrid(0.0, 2.0, 0.125)
     idle = _idle_mask(model, grid)
     # the pulse turns off at t = 1, the start of step 8
     assert not idle[:8].any() and idle[8:].all()
-    counting = _CoefficientCountingModel(model)
-    propagate_many(counting, [basis_state(TRIPOD_LABELS, "0")], grid, check_quality=False)
-    assert np.max(np.concatenate(counting.evaluated)) == 1.0
+    calls = _record_samples(monkeypatch)
+    propagate_many(model, [basis_state(TRIPOD_LABELS, "0")], grid, check_quality=False)
+    assert np.max(np.concatenate([times for _, times in calls])) == 1.0
 
 
 def _longest_run(mask: np.ndarray) -> int:
@@ -514,10 +520,34 @@ def _split_tripod_case():
     return model, starts, TimeGrid(-0.05, 1.25, 1e-3, sample_stride=5)
 
 
+def _pair_at_rest_case():
+    """The gate's pair started in 00 alone: its block has no drive term, so no step is driven."""
+    model, _, grid = _paper_pair_case()
+    return model, [basis_state(TWO_ATOM_LABELS, "00")], grid
+
+
+def _two_field_blocks():
+    """Two 2-level blocks, a and b, each driven by a field of its own: a's pulse
+    on [0, 0.5], b's on [1, 1.5], over a grid that crosses two 1024-step chunk edges."""
+    labels = ("a0", "a1", "b0", "b1")
+    couplings = []
+    for k, pulse in enumerate((PulseEnvelope(30.0, 0.25), PulseEnvelope(40.0, 0.25, t_on=1.0))):
+        m_cos, m_sin = np.zeros((2, 4, 4), dtype=complex)
+        m_cos[2 * k, 2 * k + 1] = m_cos[2 * k + 1, 2 * k] = 0.5
+        m_sin[2 * k, 2 * k + 1], m_sin[2 * k + 1, 2 * k] = 0.5j, -0.5j
+        fld = DriveField(labels[2 * k], (pulse,), PhaseRamp(kind="linear", slope=0.9))
+        couplings.append((fld, m_cos, m_sin))
+    model = HamiltonianModel(labels, np.diag([0.0, 1.5, -0.7, 2.2]), couplings)
+    starts = [basis_state(labels, "a0"), StateVector(np.array([0.6, 0.0, 0.0, 0.8j]), labels)]
+    return model, starts, TimeGrid(-0.1, 2.0, 1e-3, sample_stride=5)
+
+
 @PROPERTIES
 @given(case=_block_cases())
 @example(case=_paper_pair_case())
 @example(case=_split_tripod_case())
+@example(case=_pair_at_rest_case())
+@example(case=_two_field_blocks())
 def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
     """Each block at its own size equals RK4 on the full matrix; a batch equals its columns."""
     model, starts, grid = case
@@ -560,6 +590,19 @@ def test_elementwise_transfer_matches_the_matmul_form(dim, steps, seed, scale):
     assert np.max(np.abs(_rk4_transfer(stack) - expected)) <= 1e-15
 
 
+def _record_samples(monkeypatch) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """Make HamiltonianModel.sample record the basis labels and times of every call."""
+    calls = []
+    sample = HamiltonianModel.sample
+
+    def recording(self, times, coeffs=None):
+        calls.append((self.basis_labels, np.array(times, dtype=float)))
+        return sample(self, times, coeffs)
+
+    monkeypatch.setattr(HamiltonianModel, "sample", recording)
+    return calls
+
+
 class _CoefficientCountingModel(HamiltonianModel):
     """The same Hamiltonian, recording every batch of times its drives are evaluated at.
 
@@ -600,21 +643,14 @@ def _gapped_pair():
 
 
 def test_idle_steps_are_not_sampled(monkeypatch):
-    """No block samples an idle node, and no drive is evaluated there."""
+    """No block samples an idle node; the drive coefficients are evaluated at every node."""
     model, grid = _gapped_pair()
     idle = _idle_mask(model, grid)
     assert idle.mean() > 0.7
     starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11")]
     plain = propagate_many(model, starts, grid, check_quality=False)
 
-    sampled = []
-    sample = HamiltonianModel.sample
-
-    def recording(self, times, coeffs=None):
-        sampled.append(np.array(times, dtype=float))
-        return sample(self, times, coeffs)
-
-    monkeypatch.setattr(HamiltonianModel, "sample", recording)
+    calls = _record_samples(monkeypatch)
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
     for a, b in zip(counted, plain):
@@ -622,17 +658,32 @@ def test_idle_steps_are_not_sampled(monkeypatch):
         assert np.array_equal(a.max_populations, b.max_populations)
         assert a.norm_drift == b.norm_drift
 
-    # the evaluated and the sampled nodes are exactly the nodes of the driven steps
+    # the sampled nodes are exactly the nodes of the driven steps
     driven = set(np.flatnonzero(_driven_nodes(idle)).tolist())
-    assert set(_half_steps(counting.evaluated, grid).tolist()) == driven
-    assert set(_half_steps(sampled, grid).tolist()) == driven
+    assert set(_half_steps([times for _, times in calls], grid).tolist()) == driven
+    assert set(_half_steps(counting.evaluated, grid).tolist()) == set(range(2 * grid.n_steps + 1))
+
+
+def test_each_block_samples_only_where_its_own_field_is_on(monkeypatch):
+    """A block's idle steps are where the fields acting on it are off, whatever the others do."""
+    model, starts, grid = _two_field_blocks()
+    calls = _record_samples(monkeypatch)
+    propagate_many(model, starts, grid, check_quality=False)
+    nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
+    assert len(model.blocks) == 2
+    for rows, fld in zip(model.blocks, model.fields):
+        labels = tuple(model.basis_labels[k] for k in rows)
+        free = fld.amplitude(nodes) == 0.0
+        driven = _driven_nodes(free[0:-1:2] & free[1::2] & free[2::2])
+        sampled = [times for block, times in calls if block == labels]
+        assert set(_half_steps(sampled, grid).tolist()) == set(np.flatnonzero(driven).tolist())
 
 
 def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
-    """One coefficients pass per driven node serves every block and never an idle node.
+    """One coefficients pass per chunk, at every node, serves every block.
 
-    A chunk evaluates its own driven runs, so a chunk edge with a driven step
-    on both sides is evaluated once by each of the two chunks.
+    A chunk evaluates all of its nodes, so each interior chunk edge is
+    evaluated once by each of the two chunks it bounds.
     """
     model, grid = _gapped_pair()
     idle = _idle_mask(model, grid)
@@ -645,11 +696,8 @@ def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
     starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11", "22")]
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
-    expected = _driven_nodes(idle)
-    edges = np.arange(chunk, grid.n_steps, chunk)
-    shared = edges[~idle[edges - 1] & ~idle[edges]]
-    assert shared.size > 0
-    expected[2 * shared] += 1
+    expected = np.ones(2 * grid.n_steps + 1, dtype=int)
+    expected[2 * np.arange(chunk, grid.n_steps, chunk)] += 1
     counts = np.bincount(_half_steps(counting.evaluated, grid), minlength=expected.size)
     assert np.array_equal(counts, expected)
 
