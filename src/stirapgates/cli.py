@@ -412,9 +412,13 @@ def _run_trajectory(cfg: ExperimentConfig):
         raise ConfigError(f"system.initial_state: {initial!r} is not one of {labels}")
     state = basis_state(labels, initial)
     grid = _build_grid(cfg, schedule)
-    if cfg.grid.tolerance is None:
-        return propagate_many(model, [state], grid)[0], None
-    (traj,), report = converge_many(model, [state], grid, tolerance=cfg.grid.tolerance)
+    try:
+        if cfg.grid.tolerance is None:
+            return propagate_many(model, [state], grid)[0], None
+        (traj,), report = converge_many(model, [state], grid, tolerance=cfg.grid.tolerance)
+    except (ValueError, OverflowError) as exc:
+        # a grid with more steps than numpy can index fails here, before it allocates
+        raise ConfigError(f"grid: {exc}") from exc
     return traj, report
 
 
@@ -708,7 +712,12 @@ def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
             f"pump drive, got {len(stokes)} and {len(pumps)}"
         )
     (stokes,) = stokes
+    for i, drive in enumerate(cfg.drives):
+        _build_field(schedule, drive, i)  # refuses what simulate refuses, by the same path
     peak_pump = math.hypot(*[d.peak_rabi for d in pumps])
+    if peak_pump == 0.0 or stokes.peak_rabi == 0.0:
+        raise ConfigError("drives: the phase command needs a positive stokes peak and "
+                          "a positive combined pump peak")
     if kind != "two_atom":
         ramp = _build_ramp(stokes)
         est = berry_phase_numeric(

@@ -281,48 +281,44 @@ def _scan(mats: np.ndarray, out: np.ndarray) -> None:
 class _Block:
     """One block of levels that holds amplitude, with the columns it holds it in.
 
-    ``out`` is the block's own (chunk + 1, levels, columns) state buffer, or
-    the run's full buffer when the block is the whole state. ``powers`` are
-    the idle factor's powers when the block's static part is diagonal, else
-    None: the idle factor is the RK4 step for the constant A = -i h static.
+    ``out`` is the block's (chunk + 1, levels, columns) state buffer and
+    ``max_pops`` its maximum populations so far. ``powers`` are the idle
+    factor's powers when the block's static part is diagonal, else None: the
+    idle factor is the RK4 step for the constant A = -i h static. ``key`` is
+    the drive columns its idle steps are read from, or None when it has no
+    idle steps; blocks with one key share one idle mask.
     """
 
-    def __init__(self, model, rows: np.ndarray, cols: np.ndarray, out: np.ndarray,
+    def __init__(self, model, rows: np.ndarray, cols: np.ndarray, psi0: np.ndarray,
                  chunk_steps: int, h: float):
         self.model = model
         self.rows = rows
         self.cols = cols
-        self.whole = out.shape[1:] == (rows.size, cols.size)
-        if self.whole:
-            self.out = out
-        else:
-            self.out = np.empty((len(out), rows.size, cols.size), dtype=complex)
-            self.out[0] = out[0][np.ix_(rows, cols)]
-        self.powers = None
+        self.out = np.empty((chunk_steps + 1, rows.size, cols.size), dtype=complex)
+        self.out[0] = psi0[np.ix_(rows, cols)]
+        self.max_pops = np.abs(self.out[0]) ** 2
+        self.powers = self.key = None
         diagonal = getattr(model, "static_diagonal", None)
         if diagonal is not None:
             z = -1j * h * diagonal
             factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
             self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, rows.size)),
                                      axis=0)[:, :, None]
+            self.key = tuple(model.drive_columns)
 
 
 def _blocks(model, psi0: np.ndarray) -> list[tuple[object, np.ndarray, np.ndarray]]:
     """(model, levels, columns) of each block of the model with amplitude in psi0.
 
     A block holding no amplitude in any column stays exactly zero, so it is
-    left out, and so are the columns it holds none in. A model that is one
-    block is its own block model.
+    left out, and so are the columns it holds none in.
     """
-    dim, width = psi0.shape
-    levels = getattr(model, "blocks", (np.arange(dim),))
-    if len(levels) == 1:
-        return [(model, levels[0], np.arange(width))]
+    dim = len(psi0)
     found = []
-    for rows in levels:
+    for rows in getattr(model, "blocks", (np.arange(dim),)):
         cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
         if cols.size:
-            found.append((model.restricted(rows), rows, cols))
+            found.append((model if rows.size == dim else model.restricted(rows), rows, cols))
     return found
 
 
@@ -331,15 +327,16 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
 
     H(t) never couples two of the model's ``blocks``, so each block that holds
     amplitude is propagated at its own size, on the columns it holds amplitude
-    in; the blocks run in lockstep through each chunk, and populations,
-    maxima and norm drift are taken on the full state. The drive coefficients
-    of a HamiltonianModel are evaluated once per chunk, at every node, and
-    serve every block. A step is idle for a block when the block's static
-    part is diagonal and every coefficient that acts on its levels is zero at
-    t, t+h/2 and t+h (``drive_free``); a run of idle steps is its first state
-    times the powers of the idle factor, and the block is not sampled there.
-    A run of driven steps applies its transfer matrices by a blocked prefix
-    scan (``_scan``). Other models are one block and never idle.
+    in, with its own state buffer and maximum populations; the blocks run in
+    lockstep through each chunk, and a column's norm sums over the blocks it
+    spans. The drive coefficients of a HamiltonianModel are evaluated once per
+    chunk, at every node, and serve every block. A step is idle for a block
+    when the block's static part is diagonal and every coefficient that acts
+    on its levels is zero at t, t+h/2 and t+h (``drive_free``), computed once
+    per chunk for each set of drive columns; a run of idle steps is its first
+    state times the powers of the idle factor, and the block is not sampled
+    there. A run of driven steps applies its transfer matrices by a blocked
+    prefix scan (``_scan``). Other models are one block and never idle.
     """
     h = grid.step
     n = grid.n_steps
@@ -348,31 +345,32 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
     dim, width = psi0.shape
     found = _blocks(model, psi0)
     largest = max(rows.size for _, rows, _ in found)
-    chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2)
+    chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2, n)
 
-    samples = np.empty((sample_idx.size, dim, width), dtype=complex)
-    out = np.zeros((min(chunk_steps, n) + 1, dim, width), dtype=complex)
-    out[0] = psi0
+    samples = np.zeros((sample_idx.size, dim, width), dtype=complex)
     samples[0] = psi0
-    max_pops = np.abs(out[0]) ** 2
-    drift = float(np.max(np.abs(max_pops.sum(axis=0) - 1.0)))
+    drift = float(np.max(np.abs(np.sum(np.abs(psi0) ** 2, axis=0) - 1.0)))
 
-    blocks = [_Block(sub, rows, cols, out, chunk_steps, h) for sub, rows, cols in found]
+    blocks = [_Block(sub, rows, cols, psi0, chunk_steps, h) for sub, rows, cols in found]
     with_coeffs = isinstance(model, HamiltonianModel)
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
         nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
         coeffs = model.coefficients(nodes) if with_coeffs else None
+        lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
+        norms = np.zeros((chunk, width))
+        runs = {}
         for blk in blocks:
-            if blk.powers is None:
+            if blk.key not in runs:
                 idle = np.zeros(chunk, dtype=bool)
-            else:
-                free = blk.model.drive_free(coeffs)
-                idle = free[0:-1:2] & free[1::2] & free[2::2]
-            edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
-            for a, b in zip(edges, edges[1:]):
-                if idle[a]:
+                if blk.key is not None:
+                    free = blk.model.drive_free(coeffs)
+                    idle = free[0:-1:2] & free[1::2] & free[2::2]
+                edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
+                runs[blk.key] = [(a, b, idle[a]) for a, b in zip(edges, edges[1:])]
+            for a, b, idle_run in runs[blk.key]:
+                if idle_run:
                     np.multiply(blk.powers[:b - a], blk.out[a], out=blk.out[a + 1:b + 1])
                     continue
                 span = slice(2 * a, 2 * b + 1)
@@ -382,21 +380,20 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
                     stack = blk.model.sample(nodes[span], coeffs[span])
                 stack *= -1j * h
                 _scan(_rk4_transfer(stack), blk.out[a:b + 1])
-            if not blk.whole:
-                out[1:chunk + 1, blk.rows[:, None], blk.cols] = blk.out[1:chunk + 1]
-                blk.out[0] = blk.out[chunk]
 
-        pops = np.abs(out[1:chunk + 1]) ** 2
-        np.maximum(max_pops, pops.max(axis=0), out=max_pops)
-        # einsum sums over the levels as sum(axis=1) does, several times faster
-        norms = np.einsum("sdw->sw", pops)
+            pops = np.abs(blk.out[1:chunk + 1]) ** 2
+            np.maximum(blk.max_pops, pops.max(axis=0), out=blk.max_pops)
+            # einsum sums over the levels as sum(axis=1) does, several times faster
+            norms[:, blk.cols] += np.einsum("sdw->sw", pops)
+            samples[lo:hi, blk.rows[:, None], blk.cols] = blk.out[sample_idx[lo:hi] - done]
+            blk.out[0] = blk.out[chunk]
         # np.maximum, unlike max(), keeps a NaN drift from an overflowed step
         drift = float(np.maximum(drift, np.max(np.abs(norms - 1.0))))
-        lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
-        samples[lo:hi] = out[sample_idx[lo:hi] - done]
-        out[0] = out[chunk]
         done += chunk
 
+    max_pops = np.zeros((dim, width))
+    for blk in blocks:
+        max_pops[blk.rows[:, None], blk.cols] = blk.max_pops
     times = t0 + sample_idx * h
     return times, samples, drift, max_pops
 

@@ -38,10 +38,12 @@ class HamiltonianModel:
     matrix product. This is the propagator's fast path. With no couplings
     the model is the constant matrix ``static``. ``static_diagonal`` is the
     diagonal of ``static``, or None when ``static`` has off-diagonal entries.
-    ``blocks`` holds the connected components of the levels that ``static``
-    or any coupling links, as sorted index arrays ordered by their first
-    level; H(t) never couples two blocks, and ``restricted`` gives the model
-    of one.
+    ``drive_columns`` holds the columns of ``coefficients`` whose matrix is
+    nonzero; ``drive_free`` reads only those. ``blocks`` holds the connected
+    components of the levels that ``static`` or any coupling links, as
+    sorted index arrays ordered by their first level; H(t) never couples two
+    blocks, and ``restricted`` gives the model of one, with the same
+    coefficient columns.
     """
 
     def __init__(
@@ -65,8 +67,7 @@ class HamiltonianModel:
         self.static_diagonal = None if off_diagonal.any() else np.diag(self.static).copy()
         mats = [self.static, *(m for _, m_cos, m_sin in self.couplings for m in (m_cos, m_sin))]
         self._stack = np.stack(mats).reshape(len(mats), dim * dim)
-        # the coefficient columns whose matrix acts on these levels
-        self._drive_columns = 1 + np.flatnonzero(self._stack[1:].any(axis=1))
+        self.drive_columns = 1 + np.flatnonzero(self._stack[1:].any(axis=1))
         # reachability by repeated squaring: 2^k >= dim - 1 after dim.bit_length() rounds
         reach = np.any(np.stack(mats) != 0.0, axis=0)
         reach = (reach | reach.T | np.eye(dim, dtype=bool)).astype(int)
@@ -100,7 +101,7 @@ class HamiltonianModel:
 
         Where it holds, H(t) is ``static``.
         """
-        return ~np.any(coeffs[:, self._drive_columns] != 0.0, axis=1)
+        return ~np.any(coeffs[:, self.drive_columns] != 0.0, axis=1)
 
     def sample(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """Hamiltonian stack of shape (len(times), dim, dim).

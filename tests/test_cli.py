@@ -604,6 +604,36 @@ def test_negative_peak_is_a_config_error(tmp_path, capsys):
     assert "drives.0: omega_max must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["ramp_phase_prediction", "collisional_phase_prediction"])
+@pytest.mark.parametrize("drive", [0, 1])
+@pytest.mark.parametrize("peak", ["0", "-120"])
+def test_phase_prediction_refuses_zero_and_negative_peaks(tmp_path, capsys, name, drive, peak):
+    """A negative peak fails as simulate fails it; a zero pump or stokes peak has no mixing angle."""
+    out = tmp_path / "x"
+    rc = main(["phase", "--config", str(REPO / "configs" / f"{name}.yaml"), "--out", str(out),
+               "--set", f"drives.{drive}.peak_rabi={peak}"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: drives")
+    assert not (out / "phase.json").exists()
+
+
+# numpy cannot index this many steps (nor Python count them, together), so these
+# fail before anything is allocated; a step that numpy can allocate would ask for
+# gigabytes, so none is tried here
+@pytest.mark.parametrize("overrides", [["grid.base_step=1e-300"], ["grid.t_end=1e300"],
+                                       ["grid.base_step=1e-300", "grid.t_end=1e300"]])
+def test_unbuildable_simulate_grid_is_a_config_error(tmp_path, capsys, overrides):
+    out = tmp_path / "x"
+    argv = ["simulate", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+            "--out", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: grid")
+    assert not (out / "summary.json").exists()
+
+
 def test_leaky_gate_is_an_integration_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, gate_raw(peak=3.0))
     rc = main(["gate", "--config", cfg_path, "--out", str(tmp_path / "x")])

@@ -542,12 +542,30 @@ def _two_field_blocks():
     return model, starts, TimeGrid(-0.1, 2.0, 1e-3, sample_stride=5)
 
 
+def _one_field_on_two_kinds_of_block():
+    """One field drives two 2-level blocks: a, whose static part is diagonal, and b,
+    whose static part couples b0 and b1. a idles where the pulse is off; b is
+    driven throughout although it reads the same drive columns."""
+    labels = ("a0", "a1", "b0", "b1")
+    m_cos, m_sin = np.zeros((2, 4, 4), dtype=complex)
+    for lower in (0, 2):
+        m_cos[lower, lower + 1] = m_cos[lower + 1, lower] = 0.5
+        m_sin[lower, lower + 1], m_sin[lower + 1, lower] = 0.5j, -0.5j
+    static = np.diag([0.0, 1.5, -0.7, 2.2]).astype(complex)
+    static[2, 3] = static[3, 2] = 6.0
+    fld = DriveField("a0", (PulseEnvelope(30.0, 0.25),), PhaseRamp(kind="linear", slope=0.9))
+    model = HamiltonianModel(labels, static, [(fld, m_cos, m_sin)])
+    starts = [basis_state(labels, "a0"), StateVector(np.array([0.6, 0.0, 0.8j, 0.0]), labels)]
+    return model, starts, TimeGrid(-0.1, 1.2, 1e-3, sample_stride=5)
+
+
 @PROPERTIES
 @given(case=_block_cases())
 @example(case=_paper_pair_case())
 @example(case=_split_tripod_case())
 @example(case=_pair_at_rest_case())
 @example(case=_two_field_blocks())
+@example(case=_one_field_on_two_kinds_of_block())
 def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
     """Each block at its own size equals RK4 on the full matrix; a batch equals its columns."""
     model, starts, grid = case
@@ -651,6 +669,14 @@ def test_idle_steps_are_not_sampled(monkeypatch):
     plain = propagate_many(model, starts, grid, check_quality=False)
 
     calls = _record_samples(monkeypatch)
+    masks = []
+    drive_free = HamiltonianModel.drive_free
+
+    def counting_free(self, coeffs):
+        masks.append(len(coeffs))
+        return drive_free(self, coeffs)
+
+    monkeypatch.setattr(HamiltonianModel, "drive_free", counting_free)
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
     for a, b in zip(counted, plain):
@@ -662,6 +688,11 @@ def test_idle_steps_are_not_sampled(monkeypatch):
     driven = set(np.flatnonzero(_driven_nodes(idle)).tolist())
     assert set(_half_steps([times for _, times in calls], grid).tolist()) == driven
     assert set(_half_steps(counting.evaluated, grid).tolist()) == set(range(2 * grid.n_steps + 1))
+    # 01 and 11 start a 3- and a 9-level block that read the same two fields,
+    # so each 404-step chunk computes one idle mask for both
+    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 9**2)
+    assert len(masks) == -(-grid.n_steps // chunk)
+    assert sum((nodes - 1) // 2 for nodes in masks) == grid.n_steps
 
 
 def test_each_block_samples_only_where_its_own_field_is_on(monkeypatch):
