@@ -86,6 +86,13 @@ def _as_float(value, path: str) -> float:
     return number
 
 
+def _as_positive(value, path: str) -> float:
+    number = _as_float(value, path)
+    if not number > 0.0:
+        raise ConfigError(f"{path}: must be positive")
+    return number
+
+
 def _as_int(value, path: str) -> int:
     # sweep axes come from np.linspace, so an integral float counts as integer
     if isinstance(value, float) and value.is_integer():
@@ -157,9 +164,9 @@ class DriveConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class GridConfig:
-    base_step: float | None = _scalar(_as_float, None, nullable=True)
+    base_step: float | None = _scalar(_as_positive, None, nullable=True)
     sample_stride: int = _scalar(_as_count, 16)
-    tolerance: float | None = _scalar(_as_float, 1e-8, nullable=True)
+    tolerance: float | None = _scalar(_as_positive, 1e-8, nullable=True)
     t_end: float | None = _scalar(_as_float, None, nullable=True)
 
 
@@ -704,26 +711,26 @@ def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
         raise ConfigError(
             "system.interaction_shift: must be nonzero for two-atom phase prediction"
         )
-    stokes = [d for d in cfg.drives if d.role == "stokes"]
-    pumps = [d for d in cfg.drives if d.role == "pump"]
-    if len(stokes) != 1 or not pumps:
+    roles = [d.role for d in cfg.drives]
+    if roles.count("stokes") != 1 or "pump" not in roles:
         raise ConfigError(
             "drives: the phase command needs exactly one stokes drive and at least one "
-            f"pump drive, got {len(stokes)} and {len(pumps)}"
+            f"pump drive, got {roles.count('stokes')} and {roles.count('pump')}"
         )
-    (stokes,) = stokes
-    for i, drive in enumerate(cfg.drives):
-        _build_field(schedule, drive, i)  # refuses what simulate refuses, by the same path
-    peak_pump = math.hypot(*[d.peak_rabi for d in pumps])
-    if peak_pump == 0.0 or stokes.peak_rabi == 0.0:
+    # built as simulate builds them, so a drive is refused by the same path
+    fields = [_build_field(schedule, d, i) for i, d in enumerate(cfg.drives)]
+    (stokes,) = [f for f, role in zip(fields, roles) if role == "stokes"]
+    peak_stokes = stokes.envelopes[0].omega_max
+    peak_pump = math.hypot(*[f.envelopes[0].omega_max
+                             for f, role in zip(fields, roles) if role == "pump"])
+    if peak_pump == 0.0 or peak_stokes == 0.0:
         raise ConfigError("drives: the phase command needs a positive stokes peak and "
                           "a positive combined pump peak")
     if kind != "two_atom":
-        ramp = _build_ramp(stokes)
         est = berry_phase_numeric(
-            schedule, ramp, peak_pump=peak_pump, peak_stokes=stokes.peak_rabi
+            schedule, stokes.phase, peak_pump=peak_pump, peak_stokes=peak_stokes
         )
-        closed = berry_phase_closed_form(schedule, ramp)
+        closed = berry_phase_closed_form(schedule, stokes.phase)
         payload = {
             "kind": kind,
             "numeric": est.value,
@@ -732,8 +739,8 @@ def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
             "difference": est.value - closed,
         }
     else:
-        est = two_qubit_phase(schedule, shift, peak_1=peak_pump, peak_2=stokes.peak_rabi)
-        wz = wz_propagate(schedule, shift, peak_1=peak_pump, peak_2=stokes.peak_rabi)
+        est = two_qubit_phase(schedule, shift, peak_1=peak_pump, peak_2=peak_stokes)
+        wz = wz_propagate(schedule, shift, peak_1=peak_pump, peak_2=peak_stokes)
         payload = {
             "kind": kind,
             "quadrature": est.value,

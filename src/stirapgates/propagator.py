@@ -3,7 +3,10 @@
 The integrator is the classical fourth-order Runge-Kutta scheme on a
 uniform grid. The scheme is linear in the state, so each step is one
 transfer matrix, built for a whole chunk of steps at once from the sampled
-Hamiltonians; a run of such steps is applied as a blocked prefix scan. Where
+Hamiltonians; a run of such steps is applied as a blocked prefix scan. Each
+block of levels that H couples runs on its own, with one amplitude per cell
+of levels that stay equal, and blocks with equal lumped models share one
+state. Where
 every drive acting on a block of levels is off and the block's static part
 is diagonal, the transfer matrix is a fixed per-level factor, so such runs
 of steps are filled with its powers without sampling. Norm drift and
@@ -30,8 +33,9 @@ NORM_DRIFT_LIMIT = 1e-6
 _MAX_HALVINGS = 10
 _STABILITY_FACTOR = 0.8
 # A chunk holds at most _CHUNK_STEPS steps and _CHUNK_ENTRIES transfer-matrix
-# entries: 128 steps at dim 16. Small dim-16 buffers keep the heap from
-# fragmenting when idle runs cut the driven runs to varying lengths.
+# entries of its largest lumped model: 128 steps at dim 16, 910 at 6 cells.
+# Small dim-16 buffers keep the heap from fragmenting when idle runs cut the
+# driven runs to varying lengths.
 _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 2**15
 
@@ -279,79 +283,115 @@ def _scan(mats: np.ndarray, out: np.ndarray) -> None:
 
 
 class _Block:
-    """One block of levels that holds amplitude, with the columns it holds it in.
+    """The lumped model of one or more blocks of levels, propagated together.
 
-    ``out`` is the block's (chunk + 1, levels, columns) state buffer and
-    ``max_pops`` its maximum populations so far. ``powers`` are the idle
-    factor's powers when the block's static part is diagonal, else None: the
-    idle factor is the RK4 step for the constant A = -i h static. ``key`` is
-    the drive columns its idle steps are read from, or None when it has no
-    idle steps; blocks with one key share one idle mask.
+    ``members`` holds (rows, cells, cols, slot) for each block of levels
+    that shares it: the block's levels, the cell of each level, the columns
+    of the batch the block holds amplitude in, and the slice where those
+    columns sit side by side in the state. ``out`` is the (chunk + 1, cells,
+    columns) state buffer, holding the common amplitude of each cell, and
+    ``max_pops`` the maximum populations so far. ``pick`` reads the cell of
+    each level from an array over cells: the cells, or everything in place
+    when each cell is one level. ``powers`` are the idle factor's powers
+    when the static part is diagonal, else None: the idle factor is the RK4
+    step for the constant A = -i h static. ``key`` is the drive columns its
+    idle steps are read from, or None when it has no idle steps; blocks
+    with one key share one idle mask.
     """
 
-    def __init__(self, model, rows: np.ndarray, cols: np.ndarray, psi0: np.ndarray,
-                 chunk_steps: int, h: float):
+    def __init__(self, model, members: list, psi0: np.ndarray, chunk_steps: int, h: float):
         self.model = model
-        self.rows = rows
-        self.cols = cols
-        self.out = np.empty((chunk_steps + 1, rows.size, cols.size), dtype=complex)
-        self.out[0] = psi0[np.ix_(rows, cols)]
+        self.members = members
+        cells = members[0][1]
+        count = cells.max() + 1
+        self.pick = slice(None) if count == cells.size else cells
+        width = sum(cols.size for _, _, cols, _ in members)
+        self.out = np.empty((chunk_steps + 1, count, width), dtype=complex)
+        # start columns are constant on each cell: read its first level
+        firsts = np.unique(cells, return_index=True)[1]
+        for rows, _, cols, slot in members:
+            self.out[0][:, slot] = psi0[np.ix_(rows[firsts], cols)]
         self.max_pops = np.abs(self.out[0]) ** 2
         self.powers = self.key = None
         diagonal = getattr(model, "static_diagonal", None)
         if diagonal is not None:
             z = -1j * h * diagonal
             factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
-            self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, rows.size)),
+            self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, count)),
                                      axis=0)[:, :, None]
             self.key = tuple(model.drive_columns)
 
 
-def _blocks(model, psi0: np.ndarray) -> list[tuple[object, np.ndarray, np.ndarray]]:
-    """(model, levels, columns) of each block of the model with amplitude in psi0.
+def _shared_key(model, cells: np.ndarray):
+    """Equal for two lumped block models exactly when they may share one
+    ``_Block``: the same cells, bitwise-equal matrices and the same field objects."""
+    if not isinstance(model, HamiltonianModel):
+        return id(model)
+    return (cells.tobytes(), model.static.tobytes(),
+            *((id(fld), m_cos.tobytes(), m_sin.tobytes()) for fld, m_cos, m_sin in model.couplings))
 
-    A block holding no amplitude in any column stays exactly zero, so it is
-    left out, and so are the columns it holds none in.
+
+def _blocks(model, psi0: np.ndarray) -> list[tuple[object, list]]:
+    """(lumped model, members) of each ``_Block`` over the blocks with amplitude in psi0.
+
+    Each block of levels is lumped on its start columns
+    (``HamiltonianModel.lumped``); a model with only ``sample`` keeps one
+    cell per level. Blocks whose lumped models are equal share one
+    ``_Block``, their columns side by side; each is a member (rows, cells,
+    cols, slot) of it. A block holding no amplitude in any column stays
+    exactly zero, so it is left out, and so are the columns it holds none
+    in.
     """
     dim = len(psi0)
-    found = []
+    shared: dict = {}
     for rows in getattr(model, "blocks", (np.arange(dim),)):
         cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
-        if cols.size:
-            found.append((model if rows.size == dim else model.restricted(rows), rows, cols))
-    return found
+        if not cols.size:
+            continue
+        sub = model if rows.size == dim else model.restricted(rows)
+        if isinstance(sub, HamiltonianModel):
+            sub, cells = sub.lumped(psi0[np.ix_(rows, cols)])
+        else:
+            cells = np.arange(dim)
+        _, members = shared.setdefault(_shared_key(sub, cells), (sub, []))
+        width = sum(taken.size for _, _, taken, _ in members)
+        members.append((rows, cells, cols, slice(width, width + cols.size)))
+    return list(shared.values())
 
 
-def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
-    """RK4 over a (dim, n_states) amplitude block, each block of H on its own.
+def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[object, list]]):
+    """RK4 over a (dim, n_states) amplitude block, each ``_Block`` of ``found`` on its own.
 
-    H(t) never couples two of the model's ``blocks``, so each block that holds
-    amplitude is propagated at its own size, on the columns it holds amplitude
-    in, with its own state buffer and maximum populations; the blocks run in
-    lockstep through each chunk, and a column's norm sums over the blocks it
-    spans. The drive coefficients of a HamiltonianModel are evaluated once per
-    chunk, at every node, and serve every block. A step is idle for a block
-    when the block's static part is diagonal and every coefficient that acts
-    on its levels is zero at t, t+h/2 and t+h (``drive_free``), computed once
-    per chunk for each set of drive columns; a run of idle steps is its first
-    state times the powers of the idle factor, and the block is not sampled
-    there. A run of driven steps applies its transfer matrices by a blocked
-    prefix scan (``_scan``). Other models are one block and never idle.
+    H(t) never couples two of the model's ``blocks``, and within a block the
+    amplitudes of one cell stay equal, so each ``_Block`` propagates the
+    common amplitude of each cell of its lumped model, on the columns of
+    every block that shares it, with its own state buffer and maximum
+    populations. The blocks go in lockstep through each chunk, whose size is
+    set by the largest lumped model. A sample or maximum of a level is its
+    cell's, and a column's norm sums the population of every level of every
+    block it spans. The drive coefficients of a
+    HamiltonianModel are evaluated once per chunk, at every node, and serve
+    every block. A step is idle for a block when its static part is
+    diagonal and every coefficient that acts on its levels is zero at t,
+    t+h/2 and t+h (``drive_free``), computed once per chunk for each set of
+    drive columns; a run of idle steps is its first state times the powers
+    of the idle factor, and the block is not sampled there. A run of driven
+    steps applies its transfer matrices by a blocked prefix scan
+    (``_scan``). Other models are one block and never idle.
     """
     h = grid.step
     n = grid.n_steps
     t0 = grid.t_start
     sample_idx = grid.sample_indices()
     dim, width = psi0.shape
-    found = _blocks(model, psi0)
-    largest = max(rows.size for _, rows, _ in found)
+    largest = max(len(sub.basis_labels) for sub, _ in found)
     chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2, n)
 
     samples = np.zeros((sample_idx.size, dim, width), dtype=complex)
     samples[0] = psi0
     drift = float(np.max(np.abs(np.sum(np.abs(psi0) ** 2, axis=0) - 1.0)))
 
-    blocks = [_Block(sub, rows, cols, psi0, chunk_steps, h) for sub, rows, cols in found]
+    blocks = [_Block(sub, members, psi0, chunk_steps, h) for sub, members in found]
     with_coeffs = isinstance(model, HamiltonianModel)
     done = 0
     while done < n:
@@ -383,9 +423,13 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
 
             pops = np.abs(blk.out[1:chunk + 1]) ** 2
             np.maximum(blk.max_pops, pops.max(axis=0), out=blk.max_pops)
-            # einsum sums over the levels as sum(axis=1) does, several times faster
-            norms[:, blk.cols] += np.einsum("sdw->sw", pops)
-            samples[lo:hi, blk.rows[:, None], blk.cols] = blk.out[sample_idx[lo:hi] - done]
+            # every level counts its cell's population; einsum sums over the
+            # levels as sum(axis=1) does, several times faster
+            col_norms = np.einsum("sdw->sw", pops[:, blk.pick])
+            states = blk.out[sample_idx[lo:hi] - done][:, blk.pick]
+            for rows, _, cols, slot in blk.members:
+                norms[:, cols] += col_norms[:, slot]
+                samples[lo:hi, rows[:, None], cols] = states[:, :, slot]
             blk.out[0] = blk.out[chunk]
         # np.maximum, unlike max(), keeps a NaN drift from an overflowed step
         drift = float(np.maximum(drift, np.max(np.abs(norms - 1.0))))
@@ -393,7 +437,8 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid):
 
     max_pops = np.zeros((dim, width))
     for blk in blocks:
-        max_pops[blk.rows[:, None], blk.cols] = blk.max_pops
+        for rows, _, cols, slot in blk.members:
+            max_pops[rows[:, None], cols] = blk.max_pops[blk.pick][:, slot]
     times = t0 + sample_idx * h
     return times, samples, drift, max_pops
 
@@ -487,7 +532,7 @@ def propagate_many(
     refinement (use ``converge_many``).
     """
     model, labels, block = _preflight(hamiltonian, states)
-    run = _run_fixed_step(model, block, grid)
+    run = _run_fixed_step(model, block, grid, _blocks(model, block))
     drift = run[2]
     if check_quality and not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationQualityError(
@@ -544,14 +589,16 @@ def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,
     h0 = _stability_step(model, grid)
     clamped = h0 < grid.step
     current = grid.with_step(h0) if clamped else grid
-    run = _run_fixed_step(model, block, current)
+    # the model and the start columns are the same on every rung
+    found = _blocks(model, block)
+    run = _run_fixed_step(model, block, current, found)
     steps = [current.step]
     distances: list[float] = []
     for _ in range(max_halvings):
         # a copy, so the coarse rung's samples are freed once the fine run replaces them
         coarse_final = run[1][-1].copy()
         current = current.refined()
-        run = _run_fixed_step(model, block, current)
+        run = _run_fixed_step(model, block, current, found)
         steps.append(current.step)
         dist = float(np.max(np.linalg.norm(run[1][-1] - coarse_final, axis=0)))
         distances.append(dist)
@@ -589,8 +636,11 @@ def converge_many(
     One ladder is shared by the whole batch. Acceptance requires both the
     worst terminal-state distance at or below ``tolerance`` and a healthy
     norm; the finest trajectories are returned. Raises ConvergenceError
-    when the halving cap is exhausted.
+    when the halving cap is exhausted, and ValueError for a tolerance that
+    is not a positive finite number.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")
     model, labels, block = _preflight(hamiltonian, states)
     run, used_grid, report = _converge_block(model, block, grid, tolerance, max_halvings)
     return _trajectories(run, labels, used_grid), report

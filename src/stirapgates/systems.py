@@ -29,6 +29,12 @@ TWO_ATOM_LABELS = tuple(a + b for a in TRIPOD_LABELS for b in TRIPOD_LABELS)
 _TWO_ATOM_SHIFT_INDEX = TWO_ATOM_LABELS.index("22")
 
 
+def _first_seen(keys: list) -> np.ndarray:
+    """Index of each key among the distinct keys, numbered by first appearance."""
+    ids: dict = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys])
+
+
 class HamiltonianModel:
     """H(t)/hbar = static + sum over fields of amplitude/phase terms.
 
@@ -43,7 +49,8 @@ class HamiltonianModel:
     components of the levels that ``static`` or any coupling links, as
     sorted index arrays ordered by their first level; H(t) never couples two
     blocks, and ``restricted`` gives the model of one, with the same
-    coefficient columns.
+    coefficient columns. ``lumped`` gives the model on the cells of levels
+    whose amplitudes stay equal.
     """
 
     def __init__(
@@ -83,6 +90,43 @@ class HamiltonianModel:
             self.static[pick],
             [(fld, m_cos[pick], m_sin[pick]) for fld, m_cos, m_sin in self.couplings],
         )
+
+    def lumped(self, columns: np.ndarray) -> tuple["HamiltonianModel", np.ndarray]:
+        """The model on the coarsest equitable partition of its levels, and the
+        cell of each level.
+
+        In an equitable partition every column of ``columns`` (dim, n) is
+        constant on each cell, and every matrix term gives each level of a
+        cell the same row sum into each cell. Amplitudes then stay equal
+        within a cell, so the lumped model carries the common amplitude of
+        each cell: its matrices are ``(G @ indicator)[reps]``, with ``reps``
+        the first level of each cell, and are not Hermitian when cell sizes
+        differ. The partition is found by colour refinement from the
+        distinct rows of ``columns``; cells are numbered by their first
+        level. When every cell is one level the model itself is returned.
+        """
+        dim = self.dim
+        # every matrix term stacked row-wise: one product gives all row sums
+        terms = self._stack.reshape(-1, dim)
+        cells = _first_seen([row.tobytes() for row in np.asarray(columns, dtype=complex) + 0.0])
+        while True:
+            indicator = np.eye(cells.max() + 1)[cells]
+            # + 0.0 turns -0.0 into 0.0, so equal sums have equal bytes
+            sums = (terms @ indicator).reshape(-1, dim, indicator.shape[1]) + 0.0
+            refined = _first_seen([(c, sums[:, k].tobytes()) for k, c in enumerate(cells.tolist())])
+            if refined.max() == cells.max():
+                break
+            cells = refined
+        if cells.max() + 1 == dim:
+            return self, cells
+        reps = np.unique(cells, return_index=True)[1]
+        mats = sums[:, reps]
+        model = HamiltonianModel(
+            tuple(self.basis_labels[k] for k in reps),
+            mats[0],
+            [(fld, mats[1 + 2 * k], mats[2 + 2 * k]) for k, fld in enumerate(self.fields)],
+        )
+        return model, cells
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))

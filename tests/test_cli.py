@@ -634,6 +634,48 @@ def test_unbuildable_simulate_grid_is_a_config_error(tmp_path, capsys, overrides
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command, config, assignment", [
+    ("gate", "phase_gate", "grid.tolerance=0"),
+    ("gate", "phase_gate", "grid.tolerance=-1"),
+    ("simulate", "dark_transport", "grid.tolerance=0"),
+    ("simulate", "dark_transport", "grid.tolerance=-1"),
+    ("gate", "phase_gate", "grid.base_step=-1"),
+])
+def test_non_positive_grid_tolerance_or_step_is_refused_at_parse_time(
+        tmp_path, capsys, command, config, assignment):
+    """A ladder that cannot converge, or a grid that cannot step, exits 1 before any step."""
+    out = tmp_path / "x"
+    rc = main([command, "--config", str(REPO / "configs" / f"{config}.yaml"),
+               "--out", str(out), "--set", assignment])
+    assert rc == 1
+    name = assignment.partition("=")[0]
+    assert capsys.readouterr().err == f"error: {name}: must be positive\n"
+    assert not out.exists()
+
+
+def test_dense_pair_csv_keeps_exchange_partners_identical(tmp_path):
+    """The pair from 11, as the determinism check runs it: 12/21, 1e/e1 and 2e/e2
+    hold one amplitude, so their population and phase columns are the same text."""
+    out = tmp_path / "dense_pair"
+    overrides = ["system.kind=two_atom", "system.initial_state=11",
+                 "system.interaction_shift=0.05", "drives.0.level=1", "drives.1.level=2",
+                 "drives.0.peak_rabi=160", "drives.1.peak_rabi=160", "drives.1.phase_slope=0",
+                 "schedule.tau=2.0", "schedule.pulse_delay=0.8", "schedule.sequence_delay=8.0",
+                 "grid.tolerance=null", "grid.base_step=5e-4", "grid.sample_stride=1"]
+    argv = ["simulate", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+            "--out", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 25_601
+    for prefix in ("pop_", "phase_"):
+        for a, b in (("12", "21"), ("1e", "e1"), ("2e", "e2")):
+            assert [r[prefix + a] for r in rows] == [r[prefix + b] for r in rows]
+    assert max(float(r["pop_12"]) for r in rows) > 0.01
+
+
 def test_leaky_gate_is_an_integration_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, gate_raw(peak=3.0))
     rc = main(["gate", "--config", cfg_path, "--out", str(tmp_path / "x")])

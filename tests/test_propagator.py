@@ -164,6 +164,13 @@ def test_propagate_rejects_mismatched_basis():
             entry(model, [state], grid)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_converge_many_refuses_a_tolerance_it_cannot_reach(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        converge_many(SIGMA_X, [basis_state(LABELS2, "0")], TimeGrid(0.0, 1.0, 0.1),
+                      tolerance=tolerance)
+
+
 @pytest.mark.parametrize("entry", [propagate_many, converge_many])
 def test_entry_points_reject_an_empty_batch(entry):
     with pytest.raises(ValueError, match="at least one"):
@@ -350,7 +357,8 @@ def test_driven_run_scan_matches_a_staged_rk4():
     Runs of 1, B - 1, B, B + 1 and 3B + 5 steps start at the grid start and
     after 7 idle steps each, inside one chunk. A 40-step run crosses step
     808, an edge of the pair's 404-step chunks (its largest block has 9
-    levels), and a 61-step run crosses step 1024, the chunk edge of the
+    levels, which the distinct level energies of ``_pulsed`` keep from
+    lumping), and a 61-step run crosses step 1024, the chunk edge of the
     3- and 4-level models.
     """
     t_on, cases = _cross_check_cases()
@@ -459,8 +467,8 @@ def test_idle_runs_match_a_staged_rk4(span, idle_end):
 
 
 # Drawn block-wise runs. One short schedule (pulses on [0, 0.5] and [0.8, 1.3],
-# hold between) at step 1e-3: grids of up to 1500 steps cross the 128-, 404-
-# and 1024-step chunks of every block size and start or end in any stretch.
+# hold between) at step 1e-3: grids of up to 1500 steps cross the 128-, 404-,
+# 910- and 1024-step chunks of every lumped size and start or end in any stretch.
 PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 _FAST = build_schedule(0.2, 0.1, 0.8)
 _COMPLEX = st.builds(complex, st.floats(-1.0, 1.0, allow_subnormal=False),
@@ -588,6 +596,76 @@ def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
         assert np.array_equal(alone.max_populations == 0.0, traj.max_populations == 0.0)
 
 
+@PROPERTIES
+@given(case=_block_cases())
+@example(case=_paper_pair_case())
+@example(case=_split_tripod_case())
+@example(case=_one_field_on_two_kinds_of_block())
+def test_lumped_cells_are_equitable(case):
+    """Start columns are constant on the cells, and every matrix term G of the block
+    satisfies G @ indicator == indicator @ B for its lumped matrix B."""
+    model, starts, _ = case
+    block = np.stack([st.amplitudes for st in starts], axis=1)
+    for rows in model.blocks:
+        sub, columns = model.restricted(rows), block[rows]
+        lumped, cells = sub.lumped(columns)
+        count = cells.max() + 1
+        firsts = np.unique(cells, return_index=True)[1]
+        # cells are numbered by their first level
+        assert np.array_equal(cells[np.sort(firsts)], np.arange(count))
+        assert np.array_equal(columns, columns[firsts][cells])
+        indicator = np.eye(count)[cells]
+        assert lumped.dim == count
+        assert all(a is b for a, b in zip(lumped.fields, sub.fields, strict=True))
+        terms = [(sub.static, lumped.static)] + [
+            (g, b) for (_, *gs), (_, *bs) in zip(sub.couplings, lumped.couplings)
+            for g, b in zip(gs, bs)]
+        for g, b in terms:
+            assert np.array_equal(g @ indicator, indicator @ b)
+        if count == sub.dim:
+            assert lumped is sub
+
+
+def test_the_pair_from_11_lumps_its_9_levels_to_6_cells():
+    """Equal drives on both atoms and the shift on 22 keep exchange partners equal."""
+    model, _, _ = _paper_pair_case()
+    rows = model.blocks[-1]
+    sub = model.restricted(rows)
+    start = (np.asarray(sub.basis_labels) == "11").astype(complex)[:, None]
+    lumped, cells = sub.lumped(start)
+    labels = np.asarray(sub.basis_labels)
+    assert [labels[cells == c].tolist() for c in range(cells.max() + 1)] == [
+        ["11"], ["12", "21"], ["1e", "e1"], ["22"], ["2e", "e2"], ["ee"]]
+    # the pump (leg 1) couples 11 to both levels of {1e, e1}, and each of them back to 11 alone
+    pump = lumped.couplings[0][1]
+    assert pump[0, 2] == 1.0 and pump[2, 0] == 0.5
+    assert lumped.static_diagonal is not None
+    # a start on 12 alone breaks the exchange symmetry and keeps every level apart
+    lopsided = (np.asarray(sub.basis_labels) == "12").astype(complex)[:, None]
+    assert sub.lumped(lopsided)[0] is sub
+
+
+def test_exchange_partners_of_the_pair_hold_bitwise_equal_amplitudes():
+    model, starts, grid = _paper_pair_case()
+    trajs = propagate_many(model, starts[:2], grid, check_quality=False)
+    for traj in trajs:
+        for a, b in (("12", "21"), ("1e", "e1"), ("2e", "e2")):
+            col_a, col_b = traj.states[:, traj.level_index(a)], traj.states[:, traj.level_index(b)]
+            assert np.array_equal(col_a, col_b)
+            assert np.max(np.abs(col_a)) > 0.01
+
+
+def test_the_gate_starts_01_and_10_share_one_run(monkeypatch):
+    """The 01 and 10 blocks lump to equal models, so only the 01 block is ever sampled."""
+    model, _, grid = _paper_pair_case()
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("00", "01", "10", "11")]
+    calls = _record_samples(monkeypatch)
+    propagate_many(model, starts, grid, check_quality=False)
+    sampled = {labels for labels, _ in calls}
+    assert ("10", "20", "e0") not in sampled
+    assert sampled == {("01", "02", "0e"), ("11", "12", "1e", "22", "2e", "ee")}
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(dim=st.integers(1, _SMALL_DIM), steps=st.integers(1, 700),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1.0))
@@ -656,7 +734,7 @@ def _gapped_pair():
         "1": DriveField("1", sched.pump_envelopes(60.0)),
         "2": DriveField("2", sched.stokes_envelopes(60.0), PhaseRamp(kind="linear", slope=0.7)),
     }, detuning=0.3, interaction_shift=0.5).model()
-    grid = TimeGrid(sched.t_start, sched.support_end, 5e-3, sample_stride=9)
+    grid = TimeGrid(sched.t_start, sched.support_end, 2e-3, sample_stride=9)
     return model, grid
 
 
@@ -688,9 +766,10 @@ def test_idle_steps_are_not_sampled(monkeypatch):
     driven = set(np.flatnonzero(_driven_nodes(idle)).tolist())
     assert set(_half_steps([times for _, times in calls], grid).tolist()) == driven
     assert set(_half_steps(counting.evaluated, grid).tolist()) == set(range(2 * grid.n_steps + 1))
-    # 01 and 11 start a 3- and a 9-level block that read the same two fields,
-    # so each 404-step chunk computes one idle mask for both
-    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 9**2)
+    # 01 and 11 start a 3-level block and a 9-level block lumped to 6 cells,
+    # which read the same two fields, so each 910-step chunk computes one
+    # idle mask for both
+    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 6**2)
     assert len(masks) == -(-grid.n_steps // chunk)
     assert sum((nodes - 1) // 2 for nodes in masks) == grid.n_steps
 
@@ -719,10 +798,10 @@ def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
     model, grid = _gapped_pair()
     idle = _idle_mask(model, grid)
     assert idle.any() and not idle.all()
-    # the largest block of the driven starts has dim 9, so chunks hold 404
-    # steps and the grid crosses many chunk edges
-    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 9**2)
-    assert chunk == 404 and grid.n_steps > 10 * chunk
+    # the largest block of the driven starts has 9 levels in 6 cells, so
+    # chunks hold 910 steps and the grid crosses many chunk edges
+    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 6**2)
+    assert chunk == 910 and grid.n_steps > 10 * chunk
 
     starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11", "22")]
     counting = _CoefficientCountingModel(model)
