@@ -10,6 +10,7 @@ rows failed; their error column says why).
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import itertools
@@ -436,6 +437,9 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
         raise ConfigError("grid.tolerance: gate runs converge the step ladder; null is not allowed")
     if cfg.grid.t_end is not None:
         raise ConfigError("grid.t_end: gate runs span the whole pulse support; leave it unset")
+    if cfg.gate.kind == "controlled_phase" and not cfg.system.interaction_shift > 0.0:
+        raise ConfigError("system.interaction_shift: must be positive for a controlled-phase "
+                          "gate, which solves for the sequence delay that hits its phase")
     return GateSpec(
         tau=cfg.schedule.tau,
         pulse_delay=cfg.schedule.pulse_delay,
@@ -637,7 +641,7 @@ def _sweep_columns(cfg: ExperimentConfig) -> list[str]:
 
 def _sweep_point(payload: tuple[dict, list[tuple[str, float]]]) -> dict:
     base, assignments = payload
-    raw = json.loads(json.dumps(base))
+    raw = copy.deepcopy(base)
     row: dict[str, object] = {path: value for path, value in assignments}
     try:
         for path, value in assignments:
@@ -663,7 +667,7 @@ def cmd_sweep(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
     if not cfg.sweep_axes:
         raise ConfigError("sweep: section with at least one axis is required")
     if cfg.gate is not None:
-        _gate_spec(cfg)  # every row runs a gate: reject its grid settings once, up front
+        _gate_spec(cfg)  # every row runs a gate: reject its settings once, up front
     axes_values = [
         np.linspace(axis.start, axis.stop, axis.points) for axis in cfg.sweep_axes
     ]

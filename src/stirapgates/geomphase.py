@@ -16,6 +16,7 @@ import numpy as np
 from .propagator import ConvergenceReport, TimeGrid, Trajectory, converge_many
 from .pulses import MixingProfile, PhaseRamp, StirapSchedule
 from .qcore import StateVector
+from .systems import HamiltonianModel
 
 _WZ_LABELS = ("D5", "D6")
 # Simpson panels per kink-free segment of every mixing-weight integral
@@ -188,16 +189,25 @@ def ramp_weight_deficit(
     return _weight_integral(schedule, lambda vals: vals * (1.0 - vals), peak_1, peak_2).value
 
 
-def _pair_generator(r, q, shift: float) -> np.ndarray:
-    """Generator of the dark pair (D5, D6) at weights r = sin^2 and q = cos^2
-    of the pair mixing angle; array weights give a stack of 2 x 2 matrices."""
-    off = shift * r * q / np.sqrt(2.0)
-    out = np.empty(np.shape(r) + (2, 2), dtype=complex)
-    out[..., 0, 0] = shift * r * r
-    out[..., 0, 1] = off
-    out[..., 1, 0] = off
-    out[..., 1, 1] = 0.5 * shift * q * q
-    return out
+def _pair_law(shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(static, M1, M2) of the (D5, D6) generator static + r M1 + r^2 M2, with
+    r = sin^2 of the pair mixing angle: shift * [[r^2, r q / sqrt 2],
+    [r q / sqrt 2, q^2 / 2]] with q = 1 - r."""
+    root = shift / np.sqrt(2.0)
+    return (np.diag([0.0, 0.5 * shift]),
+            np.array([[0.0, root], [root, -shift]]),
+            np.array([[shift, -root], [-root, 0.5 * shift]]))
+
+
+class _MixingWeights:
+    """Source of the transport law's couplings: the weights r and r^2."""
+
+    def __init__(self, weight):
+        self._weight = weight
+
+    def weights(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = self._weight(times)
+        return r, r * r
 
 
 def wz_connection(theta_2: float, interaction_shift: float) -> np.ndarray:
@@ -214,21 +224,9 @@ def wz_connection(theta_2: float, interaction_shift: float) -> np.ndarray:
 
 def wz_hamiltonian(theta_2: float, interaction_shift: float) -> np.ndarray:
     """Effective 2x2 generator for the mixing dark-state pair."""
-    return _pair_generator(np.sin(theta_2) ** 2, np.cos(theta_2) ** 2, interaction_shift)
-
-
-class _TransportLaw:
-    """Dark-pair generator as a model: the weight is evaluated once per time block."""
-
-    basis_labels = _WZ_LABELS
-
-    def __init__(self, weight, interaction_shift: float):
-        self._weight = weight
-        self._shift = interaction_shift
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        r = self._weight(np.atleast_1d(times))
-        return _pair_generator(r, 1.0 - r, self._shift)
+    static, m1, m2 = _pair_law(interaction_shift)
+    r = np.sin(theta_2) ** 2
+    return (static + r * m1 + r * r * m2).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,8 @@ def wz_propagate(
     weight, a, b, _ = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
     grid = TimeGrid(t_start=a, t_end=b, base_step=base_step, sample_stride=8)
     start = StateVector(np.array([1.0, 0.0], dtype=complex), _WZ_LABELS)
-    model = _TransportLaw(weight, interaction_shift)
+    static, m1, m2 = _pair_law(interaction_shift)
+    model = HamiltonianModel(_WZ_LABELS, static, [(_MixingWeights(weight), m1, m2)])
     (traj,), report = converge_many(model, [start], grid, tolerance=tolerance)
 
     mixing = traj.populations[:, 1]

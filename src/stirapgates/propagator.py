@@ -175,27 +175,31 @@ class Trajectory:
         return float(self.phases[-1, self.level_index(level)])
 
 
-class _CallableModel:
-    def __init__(self, func, labels: tuple[str, ...]):
-        self.basis_labels = labels
+class _Entries:
+    """Source of a callable t -> matrix: the real, then the imaginary part of every entry."""
+
+    def __init__(self, func, dim: int):
         self._func = func
+        self._dim = dim
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(times)
-        return np.stack([np.asarray(self._func(float(t)), dtype=complex) for t in times])
+    def weights(self, times: np.ndarray) -> np.ndarray:
+        values = np.stack([np.asarray(self._func(float(t)), dtype=complex) for t in times])
+        flat = values.reshape(len(times), self._dim**2)
+        return np.concatenate((flat.real, flat.imag), axis=1).T
 
 
-def _as_model(hamiltonian, labels):
-    if hasattr(hamiltonian, "sample") and hasattr(hamiltonian, "basis_labels"):
+def _as_model(hamiltonian, labels: tuple[str, ...]) -> HamiltonianModel:
+    """A HamiltonianModel as it is; a constant matrix as the static part; a
+    callable t -> matrix as the source of the unit matrices E_jk and i E_jk."""
+    if isinstance(hamiltonian, HamiltonianModel):
         return hamiltonian
     if isinstance(hamiltonian, np.ndarray):
-        if labels is None:
-            labels = tuple(str(i) for i in range(hamiltonian.shape[0]))
         return HamiltonianModel(labels, hamiltonian, [])
     if callable(hamiltonian):
-        if labels is None:
-            raise ValueError("a bare callable Hamiltonian needs the state to supply labels")
-        return _CallableModel(hamiltonian, labels)
+        dim = len(labels)
+        units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+        return HamiltonianModel(labels, np.zeros((dim, dim)),
+                                [(_Entries(hamiltonian, dim), *units, *(1j * units))])
     raise TypeError(f"unsupported Hamiltonian input: {type(hamiltonian)!r}")
 
 
@@ -313,7 +317,7 @@ class _Block:
             self.out[0][:, slot] = psi0[np.ix_(rows[firsts], cols)]
         self.max_pops = np.abs(self.out[0]) ** 2
         self.powers = self.key = None
-        diagonal = getattr(model, "static_diagonal", None)
+        diagonal = model.static_diagonal
         if diagonal is not None:
             z = -1j * h * diagonal
             factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
@@ -322,37 +326,29 @@ class _Block:
             self.key = tuple(model.drive_columns)
 
 
-def _shared_key(model, cells: np.ndarray):
+def _shared_key(model: HamiltonianModel, cells: np.ndarray):
     """Equal for two lumped block models exactly when they may share one
-    ``_Block``: the same cells, bitwise-equal matrices and the same field objects."""
-    if not isinstance(model, HamiltonianModel):
-        return id(model)
+    ``_Block``: the same cells, bitwise-equal matrices and the same sources."""
     return (cells.tobytes(), model.static.tobytes(),
-            *((id(fld), m_cos.tobytes(), m_sin.tobytes()) for fld, m_cos, m_sin in model.couplings))
+            *((id(source), *(m.tobytes() for m in mats)) for source, *mats in model.couplings))
 
 
-def _blocks(model, psi0: np.ndarray) -> list[tuple[object, list]]:
+def _blocks(model: HamiltonianModel, psi0: np.ndarray) -> list[tuple[HamiltonianModel, list]]:
     """(lumped model, members) of each ``_Block`` over the blocks with amplitude in psi0.
 
     Each block of levels is lumped on its start columns
-    (``HamiltonianModel.lumped``); a model with only ``sample`` keeps one
-    cell per level. Blocks whose lumped models are equal share one
-    ``_Block``, their columns side by side; each is a member (rows, cells,
-    cols, slot) of it. A block holding no amplitude in any column stays
-    exactly zero, so it is left out, and so are the columns it holds none
-    in.
+    (``HamiltonianModel.lumped``). Blocks whose lumped models are equal
+    share one ``_Block``, their columns side by side; each is a member
+    (rows, cells, cols, slot) of it. A block holding no amplitude in any
+    column stays exactly zero, so it is left out, and so are the columns it
+    holds none in.
     """
-    dim = len(psi0)
     shared: dict = {}
-    for rows in getattr(model, "blocks", (np.arange(dim),)):
+    for rows in model.blocks:
         cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
         if not cols.size:
             continue
-        sub = model if rows.size == dim else model.restricted(rows)
-        if isinstance(sub, HamiltonianModel):
-            sub, cells = sub.lumped(psi0[np.ix_(rows, cols)])
-        else:
-            cells = np.arange(dim)
+        sub, cells = model.lumped(rows, psi0[np.ix_(rows, cols)])
         _, members = shared.setdefault(_shared_key(sub, cells), (sub, []))
         width = sum(taken.size for _, _, taken, _ in members)
         members.append((rows, cells, cols, slice(width, width + cols.size)))
@@ -369,15 +365,13 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[o
     populations. The blocks go in lockstep through each chunk, whose size is
     set by the largest lumped model. A sample or maximum of a level is its
     cell's, and a column's norm sums the population of every level of every
-    block it spans. The drive coefficients of a
-    HamiltonianModel are evaluated once per chunk, at every node, and serve
-    every block. A step is idle for a block when its static part is
-    diagonal and every coefficient that acts on its levels is zero at t,
-    t+h/2 and t+h (``drive_free``), computed once per chunk for each set of
-    drive columns; a run of idle steps is its first state times the powers
-    of the idle factor, and the block is not sampled there. A run of driven
-    steps applies its transfer matrices by a blocked prefix scan
-    (``_scan``). Other models are one block and never idle.
+    block it spans. The model's coefficients are evaluated once per chunk,
+    at every node, and serve every block. A step is idle for a block when
+    its static part is diagonal and every coefficient acting on it is zero
+    at t, t+h/2 and t+h (``drive_free``), computed once per chunk for each
+    set of drive columns; a run of idle steps is its first state times the
+    powers of the idle factor, and the block is not sampled there. A run of
+    driven steps applies its transfer matrices by a blocked prefix scan.
     """
     h = grid.step
     n = grid.n_steps
@@ -392,12 +386,11 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[o
     drift = float(np.max(np.abs(np.sum(np.abs(psi0) ** 2, axis=0) - 1.0)))
 
     blocks = [_Block(sub, members, psi0, chunk_steps, h) for sub, members in found]
-    with_coeffs = isinstance(model, HamiltonianModel)
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
         nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
-        coeffs = model.coefficients(nodes) if with_coeffs else None
+        coeffs = model.coefficients(nodes)
         lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
         norms = np.zeros((chunk, width))
         runs = {}
@@ -414,10 +407,7 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[o
                     np.multiply(blk.powers[:b - a], blk.out[a], out=blk.out[a + 1:b + 1])
                     continue
                 span = slice(2 * a, 2 * b + 1)
-                if coeffs is None:
-                    stack = blk.model.sample(nodes[span])
-                else:
-                    stack = blk.model.sample(nodes[span], coeffs[span])
+                stack = blk.model.sample(nodes[span], coeffs[span])
                 stack *= -1j * h
                 _scan(_rk4_transfer(stack), blk.out[a:b + 1])
 
@@ -565,7 +555,7 @@ def _stability_step(model, grid: TimeGrid) -> float:
     counts. A clamped step that needs more than ``_MAX_START_STEPS`` steps
     raises IntegrationQualityError.
     """
-    peaks = [env.t_on + env.tau for fld in getattr(model, "fields", ()) for env in fld.envelopes]
+    peaks = [env.t_on + env.tau for fld in model.fields for env in fld.envelopes]
     probes = np.concatenate((
         np.linspace(grid.t_start, grid.t_end, 257),
         [t for t in peaks if grid.t_start <= t <= grid.t_end],

@@ -102,6 +102,12 @@ class DriveField:
             total = total + env.value(t)
         return total if total.ndim else float(total)
 
+    def weights(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of the in-phase and quadrature terms: amplitude * (cos, sin) of the phase."""
+        amp = np.asarray(self.amplitude(times), dtype=float)
+        phase = np.asarray(self.phase.value(times), dtype=float)
+        return amp * np.cos(phase), amp * np.sin(phase)
+
     def complex_value(self, t):
         t = np.asarray(t, dtype=float)
         out = self.amplitude(t) * np.exp(1j * self.phase.value(t))

@@ -36,28 +36,28 @@ def _first_seen(keys: list) -> np.ndarray:
 
 
 class HamiltonianModel:
-    """H(t)/hbar = static + sum over fields of amplitude/phase terms.
+    """H(t)/hbar = static + sum over couplings of weight(t) * matrix.
 
-    ``couplings`` holds one (field, m_cos, m_sin) triple per field: constant
-    Hermitian matrices weighted by amplitude * cos(phase) and amplitude *
-    sin(phase), so a whole block of time samples is assembled with one
-    matrix product. This is the propagator's fast path. With no couplings
+    ``couplings`` holds one (source, *matrices) entry per source, whose
+    ``weights(times)`` returns one real column per matrix, so a whole block
+    of time samples is assembled with one matrix product. A DriveField
+    weights its (m_cos, m_sin) pair by amplitude * cos(phase) and amplitude
+    * sin(phase); ``fields`` holds the DriveField sources. With no couplings
     the model is the constant matrix ``static``. ``static_diagonal`` is the
     diagonal of ``static``, or None when ``static`` has off-diagonal entries.
     ``drive_columns`` holds the columns of ``coefficients`` whose matrix is
     nonzero; ``drive_free`` reads only those. ``blocks`` holds the connected
     components of the levels that ``static`` or any coupling links, as
     sorted index arrays ordered by their first level; H(t) never couples two
-    blocks, and ``restricted`` gives the model of one, with the same
-    coefficient columns. ``lumped`` gives the model on the cells of levels
-    whose amplitudes stay equal.
+    blocks. ``lumped`` gives the model of a block on the cells of its levels
+    whose amplitudes stay equal, with the same coefficient columns.
     """
 
     def __init__(
         self,
         basis_labels: tuple[str, ...],
         static: np.ndarray,
-        couplings: list[tuple[DriveField, np.ndarray, np.ndarray]],
+        couplings: list[tuple],
     ) -> None:
         self.basis_labels = tuple(basis_labels)
         dim = len(self.basis_labels)
@@ -66,13 +66,12 @@ class HamiltonianModel:
         if self.static.shape != (dim, dim):
             raise ValueError("static part has the wrong shape")
         self.couplings = tuple(
-            (fld, np.asarray(m_cos, dtype=complex), np.asarray(m_sin, dtype=complex))
-            for fld, m_cos, m_sin in couplings
+            (source, *(np.asarray(m, dtype=complex) for m in mats)) for source, *mats in couplings
         )
-        self.fields = tuple(fld for fld, _, _ in self.couplings)
+        self.fields = tuple(src for src, *_ in self.couplings if isinstance(src, DriveField))
         off_diagonal = self.static - np.diag(np.diag(self.static))
         self.static_diagonal = None if off_diagonal.any() else np.diag(self.static).copy()
-        mats = [self.static, *(m for _, m_cos, m_sin in self.couplings for m in (m_cos, m_sin))]
+        mats = [self.static, *(m for _, *own in self.couplings for m in own)]
         self._stack = np.stack(mats).reshape(len(mats), dim * dim)
         self.drive_columns = 1 + np.flatnonzero(self._stack[1:].any(axis=1))
         # reachability by repeated squaring: 2^k >= dim - 1 after dim.bit_length() rounds
@@ -82,61 +81,57 @@ class HamiltonianModel:
             reach = np.minimum(reach @ reach, 1)
         self.blocks = tuple(np.flatnonzero(row) for k, row in enumerate(reach) if row.argmax() == k)
 
-    def restricted(self, levels: np.ndarray) -> "HamiltonianModel":
-        """The model on ``levels`` alone, with the same fields in the same order."""
-        pick = np.ix_(levels, levels)
-        return HamiltonianModel(
-            tuple(self.basis_labels[k] for k in levels),
-            self.static[pick],
-            [(fld, m_cos[pick], m_sin[pick]) for fld, m_cos, m_sin in self.couplings],
-        )
+    def lumped(self, levels: np.ndarray,
+               columns: np.ndarray) -> tuple["HamiltonianModel", np.ndarray]:
+        """The model of ``levels`` (sorted, a union of ``blocks``) on the
+        coarsest equitable partition of them, and the cell of each level.
 
-    def lumped(self, columns: np.ndarray) -> tuple["HamiltonianModel", np.ndarray]:
-        """The model on the coarsest equitable partition of its levels, and the
-        cell of each level.
-
-        In an equitable partition every column of ``columns`` (dim, n) is
-        constant on each cell, and every matrix term gives each level of a
-        cell the same row sum into each cell. Amplitudes then stay equal
+        In an equitable partition every column of ``columns`` (len(levels),
+        n) is constant on each cell, and every matrix term gives each level
+        of a cell the same row sum into each cell. Amplitudes then stay equal
         within a cell, so the lumped model carries the common amplitude of
         each cell: its matrices are ``(G @ indicator)[reps]``, with ``reps``
         the first level of each cell, and are not Hermitian when cell sizes
         differ. The partition is found by colour refinement from the
         distinct rows of ``columns``; cells are numbered by their first
-        level. When every cell is one level the model itself is returned.
+        level. When every cell is one level the matrices are the model's
+        ``levels`` rows and columns, and the model itself when ``levels``
+        are all of its levels.
         """
-        dim = self.dim
-        # every matrix term stacked row-wise: one product gives all row sums
-        terms = self._stack.reshape(-1, dim)
+        size = len(levels)
+        # every matrix term on the levels, stacked row-wise: one product gives all row sums
+        mats = self._stack.reshape(-1, self.dim, self.dim)[
+            np.ix_(np.arange(len(self._stack)), levels, levels)]
+        terms = mats.reshape(-1, size)
         cells = _first_seen([row.tobytes() for row in np.asarray(columns, dtype=complex) + 0.0])
         while True:
             indicator = np.eye(cells.max() + 1)[cells]
             # + 0.0 turns -0.0 into 0.0, so equal sums have equal bytes
-            sums = (terms @ indicator).reshape(-1, dim, indicator.shape[1]) + 0.0
+            sums = (terms @ indicator).reshape(-1, size, indicator.shape[1]) + 0.0
             refined = _first_seen([(c, sums[:, k].tobytes()) for k, c in enumerate(cells.tolist())])
             if refined.max() == cells.max():
                 break
             cells = refined
-        if cells.max() + 1 == dim:
+        count = cells.max() + 1
+        if count == self.dim:
             return self, cells
         reps = np.unique(cells, return_index=True)[1]
-        mats = sums[:, reps]
-        model = HamiltonianModel(
-            tuple(self.basis_labels[k] for k in reps),
-            mats[0],
-            [(fld, mats[1 + 2 * k], mats[2 + 2 * k]) for k, fld in enumerate(self.fields)],
-        )
+        if count < size:
+            mats = sums[:, reps]
+        rest = iter(mats[1:])
+        couplings = [(source, *(next(rest) for _ in own)) for source, *own in self.couplings]
+        model = HamiltonianModel(tuple(self.basis_labels[levels[r]] for r in reps),
+                                 mats[0], couplings)
         return model, cells
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
+        """A column of ones for ``static``, then every source's weights."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        coeffs = np.empty((times.size, 1 + 2 * len(self.fields)), dtype=float)
+        coeffs = np.empty((times.size, len(self._stack)), dtype=float)
         coeffs[:, 0] = 1.0
-        for k, fld in enumerate(self.fields):
-            amp = np.asarray(fld.amplitude(times), dtype=float)
-            phase = np.asarray(fld.phase.value(times), dtype=float)
-            coeffs[:, 1 + 2 * k] = amp * np.cos(phase)
-            coeffs[:, 2 + 2 * k] = amp * np.sin(phase)
+        weights = (column for source, *_ in self.couplings for column in source.weights(times))
+        for k, column in enumerate(weights, start=1):
+            coeffs[:, k] = column
         return coeffs
 
     def drive_free(self, coeffs: np.ndarray) -> np.ndarray:
@@ -169,19 +164,22 @@ def time_reversed(model: HamiltonianModel, t_start: float, t_end: float) -> Hami
     envelope is mirrored about the midpoint of the span (the sin^2 shape is
     symmetric). A ramp phi(t) becomes phi(t_start + t_end - t) + pi: the pi
     carries the sign of the drive terms, since amplitudes stay non-negative.
+    A coupling whose source is not a DriveField raises TypeError.
     """
     if not isinstance(model, HamiltonianModel):
         raise TypeError(f"time reversal needs a HamiltonianModel, not {type(model).__name__}")
     pivot = t_start + t_end
     couplings = []
-    for fld, m_cos, m_sin in model.couplings:
+    for fld, *mats in model.couplings:
+        if not isinstance(fld, DriveField):
+            raise TypeError(f"time reversal mirrors drive fields, not {type(fld).__name__}")
         ramp = fld.phase
         mirrored = DriveField(
             fld.level,
             tuple(replace(env, t_on=pivot - env.t_off) for env in fld.envelopes),
             PhaseRamp(ramp.kind, ramp.offset + ramp.slope * pivot + math.pi, -ramp.slope),
         )
-        couplings.append((mirrored, m_cos, m_sin))
+        couplings.append((mirrored, *mats))
     return HamiltonianModel(model.basis_labels, -model.static, couplings)
 
 

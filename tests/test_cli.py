@@ -420,6 +420,36 @@ def test_gate_sweep_rejects_grid_settings_before_any_row_runs(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("shift", [-0.05, 0.0])
+def test_controlled_phase_refuses_a_shift_that_is_not_positive(tmp_path, capsys, shift):
+    """The gate solves for a delay, so the error names the config path it reads."""
+    raw = load_config(str(REPO / "configs" / "controlled_phase_gate.yaml"))
+    raw["system"]["interaction_shift"] = shift
+    assert main(["gate", "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "gate")]) == 1
+    assert "error: system.interaction_shift:" in capsys.readouterr().err
+    # a sweep refuses it once, before any row runs
+    raw["sweep"] = {
+        "axes": [{"parameter": "gate.peak_rabi", "start": 150.0, "stop": 170.0, "points": 2}]
+    }
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert "error: system.interaction_shift:" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_accepts_a_yaml_timestamp_override(tmp_path):
+    """YAML reads 2024-01-01 as a date; the sweep rows copy the config with it."""
+    config = str(REPO / "configs" / "pulse_area_sweep.yaml")
+    tables = []
+    for extra in ([], ["--set", "output_dir=2024-01-01"]):
+        out = tmp_path / f"run{len(extra)}"
+        assert main(["sweep", "--config", config, "--set", "sweep.axes.0.points=2",
+                     "--workers", "1", "--out", str(out), *extra]) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_single_point_sweep_matches_the_gate_run(tmp_path):
     raw = gate_raw(peak=314.0)
     out_gate = tmp_path / "gate"

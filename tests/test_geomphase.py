@@ -9,6 +9,7 @@ import pytest
 from stirapgates import (
     LAMBDA_LABELS,
     DriveField,
+    HamiltonianModel,
     LambdaSystem,
     PhaseRamp,
     StirapSchedule,
@@ -206,6 +207,39 @@ def test_pair_generator_matches_the_connection():
     a = wz_connection(0.6, 1.3)
     assert np.allclose(h, -1j * a[4:6, 4:6], atol=1e-15)
     assert np.allclose(h.conj().T, h, atol=1e-15)
+
+
+@pytest.mark.parametrize("shift", [0.01, 0.9, -0.05, 37.0])
+def test_pair_generator_matches_its_closed_form(shift):
+    """shift * [[r^2, r q / sqrt 2], [r q / sqrt 2, q^2 / 2]] with r = sin^2, q = 1 - r."""
+    for target in (0.0, 1e-3, 0.3, 0.5, 1.0 - 1e-9, 1.0):
+        theta = math.asin(math.sqrt(target))
+        r = math.sin(theta) ** 2
+        q = 1.0 - r
+        off = shift * r * q / math.sqrt(2.0)
+        closed = np.array([[shift * r * r, off], [off, 0.5 * shift * q * q]])
+        assert np.max(np.abs(wz_hamiltonian(theta, shift) - closed)) <= 1e-15 * abs(shift)
+
+
+def test_transport_law_takes_idle_steps_before_the_pump(monkeypatch):
+    """The law's weights are exactly zero until the first pump onset, so the
+    propagator samples no node there; it samples the driven steps after it."""
+    schedule = build_schedule(4.0, 1.6, 16.0)
+    nodes = []
+    sample = HamiltonianModel.sample
+
+    def recording(self, times, coeffs=None):
+        # the propagator's node samples come with its coefficients; the
+        # stability scan's probes do not
+        if coeffs is not None:
+            nodes.append(np.array(times, dtype=float))
+        return sample(self, times, coeffs)
+
+    monkeypatch.setattr(HamiltonianModel, "sample", recording)
+    wz_propagate(schedule, 0.01, peak_1=120.0, peak_2=120.0)
+    sampled = np.concatenate(nodes)
+    assert sampled.size
+    assert np.min(sampled) >= schedule.t_a
 
 
 def test_decoupled_states_have_no_angular_connection():

@@ -351,6 +351,15 @@ def _driven_runs(idle: np.ndarray) -> list[tuple[int, int]]:
     return [(int(a), int(b - a)) for a, b in zip(edges[0::2], edges[1::2])]
 
 
+def test_a_callable_is_sampled_as_a_hamiltonian_model(monkeypatch):
+    """The callable's matrices reach the propagator through HamiltonianModel.sample."""
+    t_on, cases = _cross_check_cases()
+    chirped, _, starts = cases["callable d2 w2"]
+    calls = _record_samples(monkeypatch)
+    propagate_many(chirped, starts, TimeGrid(t_on, t_on + 0.01, 2e-4), check_quality=False)
+    assert {labels for labels, _ in calls} == {LABELS2}
+
+
 def test_driven_run_scan_matches_a_staged_rk4():
     """Driven runs of every length against the scan's block, cut by idle runs.
 
@@ -596,6 +605,20 @@ def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
         assert np.array_equal(alone.max_populations == 0.0, traj.max_populations == 0.0)
 
 
+def _block_model(model: HamiltonianModel, rows: np.ndarray) -> HamiltonianModel:
+    """The model of the levels ``rows`` alone, from ``lumped`` on a distinct
+    start column per level: no two levels share a cell, so its matrices are
+    the model's ``rows`` rows and columns."""
+    sub, cells = model.lumped(rows, np.eye(rows.size))
+    assert np.array_equal(cells, np.arange(rows.size))
+    pick = np.ix_(rows, rows)
+    assert np.array_equal(sub.static, model.static[pick])
+    for (src, *mats), (own, *whole) in zip(sub.couplings, model.couplings, strict=True):
+        assert src is own
+        assert all(np.array_equal(m, w[pick]) for m, w in zip(mats, whole, strict=True))
+    return sub
+
+
 @PROPERTIES
 @given(case=_block_cases())
 @example(case=_paper_pair_case())
@@ -607,8 +630,15 @@ def test_lumped_cells_are_equitable(case):
     model, starts, _ = case
     block = np.stack([st.amplitudes for st in starts], axis=1)
     for rows in model.blocks:
-        sub, columns = model.restricted(rows), block[rows]
-        lumped, cells = sub.lumped(columns)
+        sub, columns = _block_model(model, rows), block[rows]
+        lumped, cells = sub.lumped(np.arange(sub.dim), columns)
+        # one call on the whole model gives the same cells and the same matrices
+        direct, direct_cells = model.lumped(rows, columns)
+        assert np.array_equal(direct_cells, cells)
+        assert direct.basis_labels == lumped.basis_labels
+        assert np.array_equal(direct.static, lumped.static)
+        for (_, *mats), (_, *expected) in zip(direct.couplings, lumped.couplings, strict=True):
+            assert all(np.array_equal(m, e) for m, e in zip(mats, expected, strict=True))
         count = cells.max() + 1
         firsts = np.unique(cells, return_index=True)[1]
         # cells are numbered by their first level
@@ -630,9 +660,9 @@ def test_the_pair_from_11_lumps_its_9_levels_to_6_cells():
     """Equal drives on both atoms and the shift on 22 keep exchange partners equal."""
     model, _, _ = _paper_pair_case()
     rows = model.blocks[-1]
-    sub = model.restricted(rows)
+    sub = _block_model(model, rows)
     start = (np.asarray(sub.basis_labels) == "11").astype(complex)[:, None]
-    lumped, cells = sub.lumped(start)
+    lumped, cells = model.lumped(rows, start)
     labels = np.asarray(sub.basis_labels)
     assert [labels[cells == c].tolist() for c in range(cells.max() + 1)] == [
         ["11"], ["12", "21"], ["1e", "e1"], ["22"], ["2e", "e2"], ["ee"]]
@@ -642,7 +672,7 @@ def test_the_pair_from_11_lumps_its_9_levels_to_6_cells():
     assert lumped.static_diagonal is not None
     # a start on 12 alone breaks the exchange symmetry and keeps every level apart
     lopsided = (np.asarray(sub.basis_labels) == "12").astype(complex)[:, None]
-    assert sub.lumped(lopsided)[0] is sub
+    assert sub.lumped(np.arange(sub.dim), lopsided)[0] is sub
 
 
 def test_exchange_partners_of_the_pair_hold_bitwise_equal_amplitudes():

@@ -215,6 +215,22 @@ def test_time_reversed_model_is_minus_the_mirrored_hamiltonian(system, span):
         time_reversed(lambda t: np.eye(3), t_start, t_end)
 
 
+class _Ramp:
+    """A source that is not a drive field: one weight, t itself."""
+
+    def weights(self, times):
+        return (times,)
+
+
+def test_time_reversal_refuses_a_source_that_is_not_a_drive_field():
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = HamiltonianModel(("a", "b"), np.zeros((2, 2)), [(_Ramp(), sigma_x)])
+    assert model.fields == ()
+    assert np.array_equal(model.sample(np.array([2.0]))[0], 2.0 * sigma_x)
+    with pytest.raises(TypeError, match="_Ramp"):
+        time_reversed(model, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Four-level chain
 
