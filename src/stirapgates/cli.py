@@ -175,7 +175,7 @@ class GridConfig:
 class GateConfig:
     kind: str = _scalar(_one_of("phase", "hadamard", "controlled_phase"))
     target_phase: float = _scalar(_as_float, 0.0)
-    peak_rabi: float = _scalar(_as_float)
+    peak_rabi: float = _scalar(_as_positive)
     margin: float | None = _scalar(_as_float, None, nullable=True)
 
 
@@ -440,6 +440,8 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
     if cfg.gate.kind == "controlled_phase" and not cfg.system.interaction_shift > 0.0:
         raise ConfigError("system.interaction_shift: must be positive for a controlled-phase "
                           "gate, which solves for the sequence delay that hits its phase")
+    # a controlled phase re-solves sequence_delay, but the configured schedule must still hold
+    _build_schedule(cfg.schedule)
     return GateSpec(
         tau=cfg.schedule.tau,
         pulse_delay=cfg.schedule.pulse_delay,

@@ -6,16 +6,17 @@ transfer matrix, built for a whole chunk of steps at once from the sampled
 Hamiltonians; a run of such steps is applied as a blocked prefix scan. Each
 block of levels that H couples runs on its own, with one amplitude per cell
 of levels that stay equal, and blocks with equal lumped models share one
-state. Where
-every drive acting on a block of levels is off and the block's static part
-is diagonal, the transfer matrix is a fixed per-level factor, so such runs
-of steps are filled with its powers without sampling. Norm drift and
-maximum populations still cover every step, not just the sampled ones. The
-state is never renormalized; the norm defect is a diagnostic that reports
-integration quality, and ``converge_many`` halves the step until successive
-terminal states agree. Phases are unwrapped along the time axis only while
-a level is populated; across depopulated gaps the last defined value is
-frozen and unwrapping resumes relative to it.
+state. These blocks, cells and shared runs are found here, once per run,
+from the model's ``terms``. Where every drive acting on a block of levels
+is off and the block's static part is diagonal, the transfer matrix is a
+fixed per-level factor, so such runs of steps are filled with its powers
+without sampling. Norm drift and maximum populations still cover every
+step, not just the sampled ones. The state is never renormalized; the norm
+defect is a diagnostic that reports integration quality, and
+``converge_many`` halves the step until successive terminal states agree.
+Phases are unwrapped along the time axis only while a level is populated;
+across depopulated gaps the last defined value is frozen and unwrapping
+resumes relative to it.
 """
 
 from __future__ import annotations
@@ -317,39 +318,106 @@ class _Block:
             self.out[0][:, slot] = psi0[np.ix_(rows[firsts], cols)]
         self.max_pops = np.abs(self.out[0]) ** 2
         self.powers = self.key = None
-        diagonal = model.static_diagonal
-        if diagonal is not None:
+        static = model.static
+        diagonal = np.diag(static)
+        if not (static - np.diag(diagonal)).any():
             z = -1j * h * diagonal
             factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
             self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, count)),
                                      axis=0)[:, :, None]
-            self.key = tuple(model.drive_columns)
+            # the coefficient columns whose matrix is nonzero on these cells
+            self.key = tuple(1 + np.flatnonzero(model.terms[1:].any(axis=1)))
 
 
-def _shared_key(model: HamiltonianModel, cells: np.ndarray):
-    """Equal for two lumped block models exactly when they may share one
-    ``_Block``: the same cells, bitwise-equal matrices and the same sources."""
-    return (cells.tobytes(), model.static.tobytes(),
-            *((id(source), *(m.tobytes() for m in mats)) for source, *mats in model.couplings))
+def _idle_steps(coeffs: np.ndarray, columns) -> np.ndarray:
+    """Boolean mask over the steps whose nodes t, t+h/2, t+h are the rows
+    0-1-2, 2-3-4, ... of ``coeffs``: where every coefficient in ``columns``
+    is exactly zero at all three nodes. There H(t) is its static part."""
+    free = ~np.any(coeffs[:, columns] != 0.0, axis=1)
+    return free[0:-1:2] & free[1::2] & free[2::2]
+
+
+def _components(model: HamiltonianModel) -> tuple[np.ndarray, ...]:
+    """The connected components of the levels that ``static`` or any coupling
+    links, as sorted index arrays ordered by their first level. H(t) never
+    couples two of them."""
+    dim = model.dim
+    # reachability by repeated squaring: 2^k >= dim - 1 after dim.bit_length() rounds
+    reach = np.any(model.terms != 0.0, axis=0).reshape(dim, dim)
+    reach = (reach | reach.T | np.eye(dim, dtype=bool)).astype(int)
+    for _ in range(dim.bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return tuple(np.flatnonzero(row) for k, row in enumerate(reach) if row.argmax() == k)
+
+
+def _first_seen(keys: list) -> np.ndarray:
+    """Index of each key among the distinct keys, numbered by first appearance."""
+    ids: dict = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys])
+
+
+def _lumped(model: HamiltonianModel, levels: np.ndarray,
+            columns: np.ndarray) -> tuple[HamiltonianModel, np.ndarray]:
+    """The model of ``levels`` (sorted, a union of ``_components``) on the
+    coarsest equitable partition of them, and the cell of each level.
+
+    In an equitable partition every column of ``columns`` (len(levels), n)
+    is constant on each cell, and every matrix term gives each level of a
+    cell the same row sum into each cell. Amplitudes then stay equal within
+    a cell, so the lumped model carries the common amplitude of each cell:
+    its matrices are ``(G @ indicator)[reps]``, with ``reps`` the first
+    level of each cell, and are not Hermitian when cell sizes differ. Its
+    couplings keep the model's sources in order. The partition is found by
+    colour refinement from the distinct rows of ``columns``; cells are
+    numbered by their first level. When every cell is one level the
+    matrices are the model's ``levels`` rows and columns, and the model
+    itself when ``levels`` are all of its levels.
+    """
+    size = len(levels)
+    # every matrix term on the levels, stacked row-wise: one product gives all row sums
+    mats = model.terms.reshape(-1, model.dim, model.dim)[
+        np.ix_(np.arange(len(model.terms)), levels, levels)]
+    stacked = mats.reshape(-1, size)
+    cells = _first_seen([row.tobytes() for row in np.asarray(columns, dtype=complex) + 0.0])
+    while True:
+        indicator = np.eye(cells.max() + 1)[cells]
+        # + 0.0 turns -0.0 into 0.0, so equal sums have equal bytes
+        sums = (stacked @ indicator).reshape(-1, size, indicator.shape[1]) + 0.0
+        refined = _first_seen([(c, sums[:, k].tobytes()) for k, c in enumerate(cells.tolist())])
+        if refined.max() == cells.max():
+            break
+        cells = refined
+    count = cells.max() + 1
+    if count == model.dim:
+        return model, cells
+    reps = np.unique(cells, return_index=True)[1]
+    if count < size:
+        mats = sums[:, reps]
+    rest = iter(mats[1:])
+    couplings = [(source, *(next(rest) for _ in own)) for source, *own in model.couplings]
+    sub = HamiltonianModel(tuple(model.basis_labels[levels[r]] for r in reps), mats[0], couplings)
+    return sub, cells
 
 
 def _blocks(model: HamiltonianModel, psi0: np.ndarray) -> list[tuple[HamiltonianModel, list]]:
     """(lumped model, members) of each ``_Block`` over the blocks with amplitude in psi0.
 
-    Each block of levels is lumped on its start columns
-    (``HamiltonianModel.lumped``). Blocks whose lumped models are equal
-    share one ``_Block``, their columns side by side; each is a member
-    (rows, cells, cols, slot) of it. A block holding no amplitude in any
-    column stays exactly zero, so it is left out, and so are the columns it
-    holds none in.
+    The blocks of levels (``_components``) are found once per call, and
+    each is lumped on its start columns (``_lumped``). Blocks whose lumped
+    models are equal share one ``_Block``, their columns side by side; each
+    is a member (rows, cells, cols, slot) of it. Every lumped model carries
+    the model's sources in order, so the same cells and bitwise-equal
+    ``terms`` mean equal models. A block holding no amplitude in any column
+    stays exactly zero, so it is left out, and so are the columns it holds
+    none in.
     """
     shared: dict = {}
-    for rows in model.blocks:
+    for rows in _components(model):
         cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
         if not cols.size:
             continue
-        sub, cells = model.lumped(rows, psi0[np.ix_(rows, cols)])
-        _, members = shared.setdefault(_shared_key(sub, cells), (sub, []))
+        sub, cells = _lumped(model, rows, psi0[np.ix_(rows, cols)])
+        _, members = shared.setdefault((cells.tobytes(), sub.terms.tobytes()), (sub, []))
         width = sum(taken.size for _, _, taken, _ in members)
         members.append((rows, cells, cols, slice(width, width + cols.size)))
     return list(shared.values())
@@ -358,7 +426,7 @@ def _blocks(model: HamiltonianModel, psi0: np.ndarray) -> list[tuple[Hamiltonian
 def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[object, list]]):
     """RK4 over a (dim, n_states) amplitude block, each ``_Block`` of ``found`` on its own.
 
-    H(t) never couples two of the model's ``blocks``, and within a block the
+    H(t) never couples two of the model's ``_components``, and within one the
     amplitudes of one cell stay equal, so each ``_Block`` propagates the
     common amplitude of each cell of its lumped model, on the columns of
     every block that shares it, with its own state buffer and maximum
@@ -368,7 +436,7 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[o
     block it spans. The model's coefficients are evaluated once per chunk,
     at every node, and serve every block. A step is idle for a block when
     its static part is diagonal and every coefficient acting on it is zero
-    at t, t+h/2 and t+h (``drive_free``), computed once per chunk for each
+    at t, t+h/2 and t+h (``_idle_steps``), computed once per chunk for each
     set of drive columns; a run of idle steps is its first state times the
     powers of the idle factor, and the block is not sampled there. A run of
     driven steps applies its transfer matrices by a blocked prefix scan.
@@ -396,10 +464,8 @@ def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[o
         runs = {}
         for blk in blocks:
             if blk.key not in runs:
-                idle = np.zeros(chunk, dtype=bool)
-                if blk.key is not None:
-                    free = blk.model.drive_free(coeffs)
-                    idle = free[0:-1:2] & free[1::2] & free[2::2]
+                idle = (np.zeros(chunk, dtype=bool) if blk.key is None
+                        else _idle_steps(coeffs, blk.key))
                 edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
                 runs[blk.key] = [(a, b, idle[a]) for a, b in zip(edges, edges[1:])]
             for a, b, idle_run in runs[blk.key]:

@@ -29,12 +29,6 @@ TWO_ATOM_LABELS = tuple(a + b for a in TRIPOD_LABELS for b in TRIPOD_LABELS)
 _TWO_ATOM_SHIFT_INDEX = TWO_ATOM_LABELS.index("22")
 
 
-def _first_seen(keys: list) -> np.ndarray:
-    """Index of each key among the distinct keys, numbered by first appearance."""
-    ids: dict = {}
-    return np.array([ids.setdefault(key, len(ids)) for key in keys])
-
-
 class HamiltonianModel:
     """H(t)/hbar = static + sum over couplings of weight(t) * matrix.
 
@@ -43,14 +37,9 @@ class HamiltonianModel:
     of time samples is assembled with one matrix product. A DriveField
     weights its (m_cos, m_sin) pair by amplitude * cos(phase) and amplitude
     * sin(phase); ``fields`` holds the DriveField sources. With no couplings
-    the model is the constant matrix ``static``. ``static_diagonal`` is the
-    diagonal of ``static``, or None when ``static`` has off-diagonal entries.
-    ``drive_columns`` holds the columns of ``coefficients`` whose matrix is
-    nonzero; ``drive_free`` reads only those. ``blocks`` holds the connected
-    components of the levels that ``static`` or any coupling links, as
-    sorted index arrays ordered by their first level; H(t) never couples two
-    blocks. ``lumped`` gives the model of a block on the cells of its levels
-    whose amplitudes stay equal, with the same coefficient columns.
+    the model is the constant matrix ``static``. ``terms`` holds ``static``
+    and then every coupling matrix in order, each flattened to a row, so
+    H(t) is ``coefficients(t) @ terms``.
     """
 
     def __init__(
@@ -69,78 +58,18 @@ class HamiltonianModel:
             (source, *(np.asarray(m, dtype=complex) for m in mats)) for source, *mats in couplings
         )
         self.fields = tuple(src for src, *_ in self.couplings if isinstance(src, DriveField))
-        off_diagonal = self.static - np.diag(np.diag(self.static))
-        self.static_diagonal = None if off_diagonal.any() else np.diag(self.static).copy()
         mats = [self.static, *(m for _, *own in self.couplings for m in own)]
-        self._stack = np.stack(mats).reshape(len(mats), dim * dim)
-        self.drive_columns = 1 + np.flatnonzero(self._stack[1:].any(axis=1))
-        # reachability by repeated squaring: 2^k >= dim - 1 after dim.bit_length() rounds
-        reach = np.any(np.stack(mats) != 0.0, axis=0)
-        reach = (reach | reach.T | np.eye(dim, dtype=bool)).astype(int)
-        for _ in range(dim.bit_length()):
-            reach = np.minimum(reach @ reach, 1)
-        self.blocks = tuple(np.flatnonzero(row) for k, row in enumerate(reach) if row.argmax() == k)
-
-    def lumped(self, levels: np.ndarray,
-               columns: np.ndarray) -> tuple["HamiltonianModel", np.ndarray]:
-        """The model of ``levels`` (sorted, a union of ``blocks``) on the
-        coarsest equitable partition of them, and the cell of each level.
-
-        In an equitable partition every column of ``columns`` (len(levels),
-        n) is constant on each cell, and every matrix term gives each level
-        of a cell the same row sum into each cell. Amplitudes then stay equal
-        within a cell, so the lumped model carries the common amplitude of
-        each cell: its matrices are ``(G @ indicator)[reps]``, with ``reps``
-        the first level of each cell, and are not Hermitian when cell sizes
-        differ. The partition is found by colour refinement from the
-        distinct rows of ``columns``; cells are numbered by their first
-        level. When every cell is one level the matrices are the model's
-        ``levels`` rows and columns, and the model itself when ``levels``
-        are all of its levels.
-        """
-        size = len(levels)
-        # every matrix term on the levels, stacked row-wise: one product gives all row sums
-        mats = self._stack.reshape(-1, self.dim, self.dim)[
-            np.ix_(np.arange(len(self._stack)), levels, levels)]
-        terms = mats.reshape(-1, size)
-        cells = _first_seen([row.tobytes() for row in np.asarray(columns, dtype=complex) + 0.0])
-        while True:
-            indicator = np.eye(cells.max() + 1)[cells]
-            # + 0.0 turns -0.0 into 0.0, so equal sums have equal bytes
-            sums = (terms @ indicator).reshape(-1, size, indicator.shape[1]) + 0.0
-            refined = _first_seen([(c, sums[:, k].tobytes()) for k, c in enumerate(cells.tolist())])
-            if refined.max() == cells.max():
-                break
-            cells = refined
-        count = cells.max() + 1
-        if count == self.dim:
-            return self, cells
-        reps = np.unique(cells, return_index=True)[1]
-        if count < size:
-            mats = sums[:, reps]
-        rest = iter(mats[1:])
-        couplings = [(source, *(next(rest) for _ in own)) for source, *own in self.couplings]
-        model = HamiltonianModel(tuple(self.basis_labels[levels[r]] for r in reps),
-                                 mats[0], couplings)
-        return model, cells
+        self.terms = np.stack(mats).reshape(len(mats), dim * dim)
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
         """A column of ones for ``static``, then every source's weights."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        coeffs = np.empty((times.size, len(self._stack)), dtype=float)
+        coeffs = np.empty((times.size, len(self.terms)), dtype=float)
         coeffs[:, 0] = 1.0
         weights = (column for source, *_ in self.couplings for column in source.weights(times))
         for k, column in enumerate(weights, start=1):
             coeffs[:, k] = column
         return coeffs
-
-    def drive_free(self, coeffs: np.ndarray) -> np.ndarray:
-        """Boolean mask over the rows of ``coefficients(times)``: where every
-        coefficient whose matrix acts on this model's levels is exactly zero.
-
-        Where it holds, H(t) is ``static``.
-        """
-        return ~np.any(coeffs[:, self.drive_columns] != 0.0, axis=1)
 
     def sample(self, times: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """Hamiltonian stack of shape (len(times), dim, dim).
@@ -150,7 +79,7 @@ class HamiltonianModel:
         """
         if coeffs is None:
             coeffs = self.coefficients(times)
-        flat = coeffs @ self._stack
+        flat = coeffs @ self.terms
         return flat.reshape(coeffs.shape[0], self.dim, self.dim)
 
     def matrix(self, t: float) -> np.ndarray:

@@ -438,6 +438,79 @@ def test_controlled_phase_refuses_a_shift_that_is_not_positive(tmp_path, capsys,
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, config, assignment", [
+    ("gate", "phase_gate", "schedule.pulse_delay=5"),
+    ("gate", "controlled_phase_gate", "schedule.sequence_delay=-5"),
+    ("sweep", "pulse_area_sweep", "schedule.tau=-1"),
+])
+def test_gate_runs_refuse_an_invalid_schedule_under_its_path(
+        tmp_path, capsys, command, config, assignment):
+    """A gate builds the configured schedule first, even the controlled phase, which
+    re-solves its sequence delay; a gate sweep does so once, before any row runs."""
+    out = tmp_path / "x"
+    rc = main([command, "--config", str(REPO / "configs" / f"{config}.yaml"),
+               "--out", str(out), "--set", assignment])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: schedule: ")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("peak", ["-3", "0"])
+def test_gate_peak_must_be_positive(tmp_path, capsys, peak):
+    out = tmp_path / "x"
+    rc = main(["gate", "--config", str(REPO / "configs" / "phase_gate.yaml"),
+               "--out", str(out), "--set", f"gate.peak_rabi={peak}"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: gate.peak_rabi: must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["hadamard_gate", "controlled_phase_gate"])
+def test_shipped_hadamard_and_controlled_phase_run_at_a_coarse_tolerance(tmp_path, capsys, name):
+    """The unit tier's run of these two gate kinds, with the lines --verbose adds."""
+    out = tmp_path / "x"
+    assert main(["gate", "--config", str(REPO / "configs" / f"{name}.yaml"), "--out", str(out),
+                 "--set", "grid.tolerance=1e-4", "--verbose"]) == 0
+    payload = json.loads((out / "gate.json").read_text())
+    assert payload["kind"] == name.removesuffix("_gate")
+    assert payload["fidelity"] >= 0.999
+    text = capsys.readouterr().out
+    assert f"  achieved phase {payload['phase']}, predicted " in text
+    assert (f"  note: {payload['note']}" in text) == bool(payload["note"])
+    if name == "controlled_phase_gate":
+        assert payload["note"]
+
+
+def test_converged_tripod_simulate_reports_its_ladder(tmp_path, capsys):
+    out = tmp_path / "x"
+    argv = ["simulate", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+            "--out", str(out), "--verbose"]
+    for assignment in ("system.kind=tripod", "system.initial_state=0", "drives.0.level=0",
+                       "drives.1.level=1", "grid.tolerance=1e-4"):
+        argv += ["--set", assignment]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["basis"] == ["0", "1", "2", "e"]
+    report = summary["convergence"]
+    assert report is not None and report["tolerance"] == 1e-4
+    assert report["distances"][-1] <= 1e-4
+    steps = " ".join(f"{step:.3e}" for step in report["steps"])
+    assert f"  convergence: steps {steps} | distances " in capsys.readouterr().out
+
+
+def test_verbose_sweep_names_each_failed_point(tmp_path, capsys):
+    raw = simulate_raw()
+    raw["sweep"] = {
+        "axes": [{"parameter": "schedule.tau", "start": -2.0, "stop": -1.0, "points": 2}]
+    }
+    rc = main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "x"),
+               "--workers", "1", "--verbose"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    for tau in (-2.0, -1.0):
+        assert f"  failed at schedule.tau={tau}: schedule: tau must be positive\n" in err
+
+
 def test_sweep_accepts_a_yaml_timestamp_override(tmp_path):
     """YAML reads 2024-01-01 as a date; the sweep rows copy the config with it."""
     config = str(REPO / "configs" / "pulse_area_sweep.yaml")

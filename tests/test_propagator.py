@@ -29,6 +29,7 @@ from stirapgates import (
     converge_many,
     dark_state,
     extract_observables,
+    lambda_hamiltonian,
     principal_angle,
     propagate_many,
     sequence_fields,
@@ -39,6 +40,11 @@ from stirapgates.propagator import (
     _CHUNK_STEPS,
     _SCAN_STEPS,
     _SMALL_DIM,
+    _Block,
+    _blocks,
+    _components,
+    _idle_steps,
+    _lumped,
     _rk4_transfer,
 )
 
@@ -421,13 +427,41 @@ def _hold_cases():
     }
 
 
+def test_idle_steps_mark_the_hold_and_blocks_read_the_static_diagonal():
+    sched = build_schedule(1.0, 0.5, 4.0)
+    pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s")
+    model = LambdaSystem(pump=pump, stokes=stokes, detuning=-0.3).model()
+    nodes = np.linspace(-1.0, 8.0, 181)
+    idle = _idle_steps(model.coefficients(nodes), (1, 2, 3, 4))
+    free = (pump.amplitude(nodes) == 0.0) & (stokes.amplitude(nodes) == 0.0)
+    assert np.array_equal(idle, free[0:-1:2] & free[1::2] & free[2::2])
+    # drive-free before, between and after the sequences, driven during them
+    assert idle.any() and not idle.all()
+    # the lambda block's idle powers come from the static diagonal
+    h, steps = 0.05, 4
+    start = np.eye(3, dtype=complex)[:, :1]
+    ((sub, members),) = _blocks(model, start)
+    blk = _Block(sub, members, start, steps, h)
+    assert np.array_equal(np.diag(blk.model.static), [0.0, -0.3, 0.0])
+    assert blk.key == (1, 2, 3, 4)
+    z = -1j * h * np.array([0.0, -0.3, 0.0])
+    factor = sum(z**k / math.factorial(k) for k in range(5))
+    expected = factor ** np.arange(1, steps + 1)[:, None]
+    assert np.allclose(blk.powers[:, :, 0], expected, rtol=0.0, atol=1e-15)
+    # an off-diagonal static part has no diagonal, so its block has no idle steps
+    constant = HamiltonianModel(LAMBDA_LABELS, lambda_hamiltonian(1.0, 1.0).matrix, [])
+    assert _idle_steps(constant.coefficients(nodes), ()).all()
+    ((sub, members),) = _blocks(constant, start)
+    assert _Block(sub, members, start, steps, h).key is None
+
+
 def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
     """Steps whose three RK4 nodes are all drive-free."""
     nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
-    free = model.drive_free(model.coefficients(nodes))
-    diagonal = model.static_diagonal
-    assert diagonal is not None and np.any(diagonal != 0.0)
-    return free[0:-1:2] & free[1::2] & free[2::2]
+    diagonal = np.diag(model.static)
+    assert np.array_equal(model.static, np.diag(diagonal)) and np.any(diagonal != 0.0)
+    columns = 1 + np.flatnonzero(model.terms[1:].any(axis=1))
+    return _idle_steps(model.coefficients(nodes), columns)
 
 
 def test_a_step_starting_at_a_turn_off_is_idle(monkeypatch):
@@ -586,10 +620,10 @@ def _one_field_on_two_kinds_of_block():
 def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
     """Each block at its own size equals RK4 on the full matrix; a batch equals its columns."""
     model, starts, grid = case
-    levels = np.concatenate(model.blocks)
+    levels = np.concatenate(_components(model))
     assert sorted(levels.tolist()) == list(range(model.dim))
     stack = model.sample(grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1))
-    for rows in model.blocks:
+    for rows in _components(model):
         others = np.setdiff1d(np.arange(model.dim), rows)
         assert not stack[:, rows[:, None], others].any()
 
@@ -606,10 +640,10 @@ def test_blockwise_runs_match_the_whole_matrix_staged_rk4(case):
 
 
 def _block_model(model: HamiltonianModel, rows: np.ndarray) -> HamiltonianModel:
-    """The model of the levels ``rows`` alone, from ``lumped`` on a distinct
+    """The model of the levels ``rows`` alone, from ``_lumped`` on a distinct
     start column per level: no two levels share a cell, so its matrices are
     the model's ``rows`` rows and columns."""
-    sub, cells = model.lumped(rows, np.eye(rows.size))
+    sub, cells = _lumped(model, rows, np.eye(rows.size))
     assert np.array_equal(cells, np.arange(rows.size))
     pick = np.ix_(rows, rows)
     assert np.array_equal(sub.static, model.static[pick])
@@ -629,11 +663,11 @@ def test_lumped_cells_are_equitable(case):
     satisfies G @ indicator == indicator @ B for its lumped matrix B."""
     model, starts, _ = case
     block = np.stack([st.amplitudes for st in starts], axis=1)
-    for rows in model.blocks:
+    for rows in _components(model):
         sub, columns = _block_model(model, rows), block[rows]
-        lumped, cells = sub.lumped(np.arange(sub.dim), columns)
+        lumped, cells = _lumped(sub, np.arange(sub.dim), columns)
         # one call on the whole model gives the same cells and the same matrices
-        direct, direct_cells = model.lumped(rows, columns)
+        direct, direct_cells = _lumped(model, rows, columns)
         assert np.array_equal(direct_cells, cells)
         assert direct.basis_labels == lumped.basis_labels
         assert np.array_equal(direct.static, lumped.static)
@@ -659,20 +693,20 @@ def test_lumped_cells_are_equitable(case):
 def test_the_pair_from_11_lumps_its_9_levels_to_6_cells():
     """Equal drives on both atoms and the shift on 22 keep exchange partners equal."""
     model, _, _ = _paper_pair_case()
-    rows = model.blocks[-1]
+    rows = _components(model)[-1]
     sub = _block_model(model, rows)
     start = (np.asarray(sub.basis_labels) == "11").astype(complex)[:, None]
-    lumped, cells = model.lumped(rows, start)
+    lumped, cells = _lumped(model, rows, start)
     labels = np.asarray(sub.basis_labels)
     assert [labels[cells == c].tolist() for c in range(cells.max() + 1)] == [
         ["11"], ["12", "21"], ["1e", "e1"], ["22"], ["2e", "e2"], ["ee"]]
     # the pump (leg 1) couples 11 to both levels of {1e, e1}, and each of them back to 11 alone
     pump = lumped.couplings[0][1]
     assert pump[0, 2] == 1.0 and pump[2, 0] == 0.5
-    assert lumped.static_diagonal is not None
+    assert np.array_equal(lumped.static, np.diag(np.diag(lumped.static)))
     # a start on 12 alone breaks the exchange symmetry and keeps every level apart
     lopsided = (np.asarray(sub.basis_labels) == "12").astype(complex)[:, None]
-    assert sub.lumped(np.arange(sub.dim), lopsided)[0] is sub
+    assert _lumped(sub, np.arange(sub.dim), lopsided)[0] is sub
 
 
 def test_exchange_partners_of_the_pair_hold_bitwise_equal_amplitudes():
@@ -732,7 +766,7 @@ def _record_samples(monkeypatch) -> list[tuple[tuple[str, ...], np.ndarray]]:
 class _CoefficientCountingModel(HamiltonianModel):
     """The same Hamiltonian, recording every batch of times its drives are evaluated at.
 
-    The propagator samples each block through a restricted model, so the
+    The propagator samples each block through its own block model, so the
     drive coefficients, which it evaluates once on this model and shares
     with every block, are where its work on each node shows.
     """
@@ -778,13 +812,12 @@ def test_idle_steps_are_not_sampled(monkeypatch):
 
     calls = _record_samples(monkeypatch)
     masks = []
-    drive_free = HamiltonianModel.drive_free
 
-    def counting_free(self, coeffs):
+    def counting_idle(coeffs, columns):
         masks.append(len(coeffs))
-        return drive_free(self, coeffs)
+        return _idle_steps(coeffs, columns)
 
-    monkeypatch.setattr(HamiltonianModel, "drive_free", counting_free)
+    monkeypatch.setattr("stirapgates.propagator._idle_steps", counting_idle)
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
     for a, b in zip(counted, plain):
@@ -810,8 +843,8 @@ def test_each_block_samples_only_where_its_own_field_is_on(monkeypatch):
     calls = _record_samples(monkeypatch)
     propagate_many(model, starts, grid, check_quality=False)
     nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
-    assert len(model.blocks) == 2
-    for rows, fld in zip(model.blocks, model.fields):
+    assert len(_components(model)) == 2
+    for rows, fld in zip(_components(model), model.fields):
         labels = tuple(model.basis_labels[k] for k in rows)
         free = fld.amplitude(nodes) == 0.0
         driven = _driven_nodes(free[0:-1:2] & free[1::2] & free[2::2])
