@@ -42,7 +42,7 @@ from .geomphase import (
     wz_propagate,
 )
 from .propagator import IntegrationQualityError, TimeGrid, converge_many, propagate_many
-from .pulses import DriveField, PhaseRamp, StirapSchedule, build_schedule
+from .pulses import DriveField, PhaseRamp, StirapSchedule
 from .qcore import basis_state
 from .systems import (
     LAMBDA_LABELS,
@@ -125,6 +125,8 @@ def _one_of(*choices: str):
 
 # basis labels of each system kind; its keys are the choices of system.kind
 _SYSTEM_LABELS = {"lambda": LAMBDA_LABELS, "tripod": TRIPOD_LABELS, "two_atom": TWO_ATOM_LABELS}
+# the system kind each gate kind runs on; its keys are the choices of gate.kind
+_GATE_SYSTEMS = {"phase": "lambda", "hadamard": "tripod", "controlled_phase": "two_atom"}
 
 
 def _scalar(parse, default=MISSING, *, nullable: bool = False):
@@ -173,10 +175,10 @@ class GridConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class GateConfig:
-    kind: str = _scalar(_one_of("phase", "hadamard", "controlled_phase"))
+    kind: str = _scalar(_one_of(*_GATE_SYSTEMS))
     target_phase: float = _scalar(_as_float, 0.0)
     peak_rabi: float = _scalar(_as_positive)
-    margin: float | None = _scalar(_as_float, None, nullable=True)
+    margin: float | None = _scalar(_as_positive, None, nullable=True)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -355,7 +357,7 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 def _build_schedule(cfg: ScheduleConfig) -> StirapSchedule:
     try:
-        return build_schedule(cfg.tau, cfg.pulse_delay, cfg.sequence_delay, cfg.t_start)
+        return StirapSchedule(cfg.tau, cfg.pulse_delay, cfg.sequence_delay, cfg.t_start)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
@@ -409,7 +411,8 @@ def _build_grid(cfg: ExperimentConfig, schedule: StirapSchedule) -> TimeGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _run_trajectory(cfg: ExperimentConfig):
+def _trajectory_setup(cfg: ExperimentConfig):
+    """The model, start state and grid of a trajectory run, each checked."""
     schedule = _build_schedule(cfg.schedule)
     model = _build_model(cfg, schedule)
     labels = tuple(model.basis_labels)
@@ -418,8 +421,11 @@ def _run_trajectory(cfg: ExperimentConfig):
         raise ConfigError("system.initial_state: required for trajectory runs")
     if initial not in labels:
         raise ConfigError(f"system.initial_state: {initial!r} is not one of {labels}")
-    state = basis_state(labels, initial)
-    grid = _build_grid(cfg, schedule)
+    return model, basis_state(labels, initial), _build_grid(cfg, schedule)
+
+
+def _run_trajectory(cfg: ExperimentConfig):
+    model, state, grid = _trajectory_setup(cfg)
     try:
         if cfg.grid.tolerance is None:
             return propagate_many(model, [state], grid)[0], None
@@ -437,22 +443,25 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
         raise ConfigError("grid.tolerance: gate runs converge the step ladder; null is not allowed")
     if cfg.grid.t_end is not None:
         raise ConfigError("grid.t_end: gate runs span the whole pulse support; leave it unset")
+    system = _GATE_SYSTEMS[cfg.gate.kind]
+    if cfg.system.kind != system:
+        raise ConfigError(f"system.kind: a {cfg.gate.kind} gate runs on the {system} system, "
+                          f"got {cfg.system.kind!r}")
+    if cfg.drives:
+        raise ConfigError("drives: gate runs build their own drives; leave it empty")
+    if cfg.system.initial_state is not None:
+        raise ConfigError("system.initial_state: gates start from each qubit level; leave it unset")
     if cfg.gate.kind == "controlled_phase" and not cfg.system.interaction_shift > 0.0:
         raise ConfigError("system.interaction_shift: must be positive for a controlled-phase "
                           "gate, which solves for the sequence delay that hits its phase")
-    # a controlled phase re-solves sequence_delay, but the configured schedule must still hold
-    _build_schedule(cfg.schedule)
     return GateSpec(
-        tau=cfg.schedule.tau,
-        pulse_delay=cfg.schedule.pulse_delay,
-        sequence_delay=cfg.schedule.sequence_delay,
+        # a controlled phase re-solves sequence_delay, but the configured schedule must hold
+        schedule=_build_schedule(cfg.schedule),
         peak_rabi=cfg.gate.peak_rabi,
         detuning=cfg.system.detuning,
         interaction_shift=cfg.system.interaction_shift,
-        t_start=cfg.schedule.t_start,
         base_step=cfg.grid.base_step,
         tolerance=cfg.grid.tolerance,
-        sample_stride=cfg.grid.sample_stride,
     )
 
 
@@ -668,8 +677,8 @@ def _sweep_point(payload: tuple[dict, list[tuple[str, float]]]) -> dict:
 def cmd_sweep(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     if not cfg.sweep_axes:
         raise ConfigError("sweep: section with at least one axis is required")
-    if cfg.gate is not None:
-        _gate_spec(cfg)  # every row runs a gate: reject its settings once, up front
+    # every row runs the base config: reject its settings once, up front
+    (_trajectory_setup if cfg.gate is None else _gate_spec)(cfg)
     axes_values = [
         np.linspace(axis.start, axis.stop, axis.points) for axis in cfg.sweep_axes
     ]

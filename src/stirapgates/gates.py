@@ -10,13 +10,13 @@ convergence diagnostics. Targets are hit by choosing drive-phase ramps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geomphase import berry_phase_closed_form, ramp_weight_deficit
 from .propagator import ConvergenceReport, TimeGrid, converge_many
-from .pulses import PhaseRamp, StirapSchedule, build_schedule
+from .pulses import PhaseRamp, StirapSchedule
 from .qcore import StateVector, basis_state, principal_angle, unitary_fidelity
 from .systems import HamiltonianModel, LambdaSystem, TripodSystem, TwoAtomSystem, sequence_fields
 
@@ -31,7 +31,7 @@ class LeakageError(RuntimeError):
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Numeric parameters shared by the gate runners.
+    """The schedule a gate runs, and the numbers shared by the gate runners.
 
     ``peak_rabi`` is the reference drive amplitude in angular-frequency
     units; individual gates derive their per-drive peaks from it. The
@@ -39,24 +39,17 @@ class GateSpec:
     states agree to ``tolerance``.
     """
 
-    tau: float
-    pulse_delay: float
-    sequence_delay: float
+    schedule: StirapSchedule
     peak_rabi: float
     detuning: float = 0.0
     interaction_shift: float = 0.0
-    t_start: float = 0.0
     base_step: float | None = None
     tolerance: float = 1e-8
-    sample_stride: int = 16
 
-    def schedule(self) -> StirapSchedule:
-        return build_schedule(
-            self.tau, self.pulse_delay, self.sequence_delay, self.t_start
-        )
-
-    def grid(self, schedule: StirapSchedule) -> TimeGrid:
-        return schedule_grid(schedule, self.base_step, self.sample_stride)
+    def grid(self) -> TimeGrid:
+        """Starting grid with only its end samples; the maxima still see every step."""
+        start = schedule_grid(self.schedule, self.base_step, 1)
+        return replace(start, sample_stride=start.n_steps)
 
 
 def schedule_grid(
@@ -139,12 +132,12 @@ def _fidelity(u: np.ndarray, target: np.ndarray, leakage: float) -> float:
     return unitary_fidelity(u, target, unitarity_tol=tol)
 
 
-def _converge(spec: GateSpec, schedule: StirapSchedule, model: HamiltonianModel,
-              levels: tuple[str, ...]) -> tuple[list[StateVector], ConvergenceReport, float]:
+def _converge(spec: GateSpec, model: HamiltonianModel, levels: tuple[str, ...]
+              ) -> tuple[list[StateVector], ConvergenceReport, float]:
     """One ladder over the runs starting in each of ``levels``: their final
     states, the ladder's report and the largest excited population reached."""
     starts = [basis_state(model.basis_labels, level) for level in levels]
-    trajs, report = converge_many(model, starts, spec.grid(schedule), tolerance=spec.tolerance)
+    trajs, report = converge_many(model, starts, spec.grid(), tolerance=spec.tolerance)
     worst = float(np.max([t.max_e_population for t in trajs]))
     return [t.final_state for t in trajs], report, worst
 
@@ -157,12 +150,12 @@ def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
     shelf and back while the stokes phase ramps at minus the target phase
     over one sequence delay.
     """
-    schedule = spec.schedule()
+    schedule = spec.schedule
     slope = -target_phase / schedule.sequence_delay
     stokes_ramp = PhaseRamp(kind="linear", offset=0.0, slope=slope)
     pump, stokes = sequence_fields(schedule, spec.peak_rabi, spec.peak_rabi, "q", "s", stokes_ramp)
     system = LambdaSystem(pump=pump, stokes=stokes, detuning=spec.detuning)
-    (final,), report, max_excited = _converge(spec, schedule, system.model(), ("q",))
+    (final,), report, max_excited = _converge(spec, system.model(), ("q",))
     amp = final.amplitude("q")
     matrix = np.array([[1.0, 0.0], [0.0, amp]], dtype=complex)
     u, leakage = _finalize_matrix(matrix, LEAKAGE_CAP)
@@ -191,7 +184,7 @@ def run_hadamard(spec: GateSpec) -> GateReport:
     round trip to the shelf and collects a phase of minus pi from the
     stokes ramp. That reflection is the Hadamard.
     """
-    schedule = spec.schedule()
+    schedule = spec.schedule
     ratio = math.sqrt(2.0) - 1.0
     peak_0 = ratio * spec.peak_rabi
     peak_1 = spec.peak_rabi
@@ -204,7 +197,7 @@ def run_hadamard(spec: GateSpec) -> GateReport:
         "2": schedule.drive("2", "stokes", peak_stokes, stokes_ramp),
     }
     system = TripodSystem(drives=drives, detuning=spec.detuning)
-    finals, report, max_excited = _converge(spec, schedule, system.model(), ("0", "1"))
+    finals, report, max_excited = _converge(spec, system.model(), ("0", "1"))
     u, leakage = reconstruct_unitary(finals, ("0", "1"))
     return GateReport(
         kind="hadamard",
@@ -222,29 +215,27 @@ def run_hadamard(spec: GateSpec) -> GateReport:
 
 
 def solve_sequence_delay(
-    tau: float,
-    pulse_delay: float,
+    schedule: StirapSchedule,
     target_phase: float,
     interaction_shift: float,
     margin: float | None = None,
-    t_start: float = 0.0,
 ) -> tuple[float, float]:
     """Sequence delay that makes the two-atom phase hit the target.
 
     The collected phase is minus the shift times (delay minus the ramp
     correction), so the delay follows directly once the correction is
     known; a whole number of turns is added to keep the delay above the
-    schedule's validity floor plus ``margin``. Returns (delay, correction).
+    schedule's validity floor plus ``margin``. The ``sequence_delay`` of
+    ``schedule`` is not read. Returns (delay, correction).
     """
     if interaction_shift <= 0.0:
         raise ValueError("interaction_shift must be positive to solve for a delay")
     if margin is None:
-        margin = 0.5 * tau
-    trial = build_schedule(tau, pulse_delay, 2.0 * (2.0 * tau + pulse_delay), t_start)
-    correction = ramp_weight_deficit(trial)
-    floor = 2.0 * tau + pulse_delay + margin
+        margin = 0.5 * schedule.tau
+    floor = 2.0 * schedule.tau + schedule.pulse_delay
+    correction = ramp_weight_deficit(replace(schedule, sequence_delay=2.0 * floor))
     turns = math.ceil(
-        (interaction_shift * (floor - correction) + target_phase) / (2.0 * math.pi)
+        (interaction_shift * (floor + margin - correction) + target_phase) / (2.0 * math.pi)
     )
     delay = correction + (2.0 * math.pi * turns - target_phase) / interaction_shift
     return delay, correction
@@ -260,7 +251,7 @@ def run_controlled_phase(
     Both atoms see the same pump/stokes pair. Only the run where both
     atoms make the shelf round trip feels the interaction shift, and its
     accumulated phase is set by the solved sequence delay. The
-    ``sequence_delay`` on the input ``GateSpec`` is ignored in favor of
+    ``sequence_delay`` of the input schedule is ignored in favor of
     the solution, except with the shift off, where there is nothing to
     solve and the gate must be the identity.
     """
@@ -269,21 +260,16 @@ def run_controlled_phase(
             raise ValueError(
                 "a nonzero target phase needs a nonzero interaction shift"
             )
-        delay, correction = spec.sequence_delay, 0.0
+        delay, correction = spec.schedule.sequence_delay, 0.0
     else:
         delay, correction = solve_sequence_delay(
-            spec.tau,
-            spec.pulse_delay,
-            target_phase,
-            spec.interaction_shift,
-            margin=margin,
-            t_start=spec.t_start,
+            spec.schedule, target_phase, spec.interaction_shift, margin=margin
         )
-    schedule = build_schedule(spec.tau, spec.pulse_delay, delay, spec.t_start)
-    pump, stokes = sequence_fields(schedule, spec.peak_rabi, spec.peak_rabi, "1", "2")
+    solved = replace(spec, schedule=replace(spec.schedule, sequence_delay=delay))
+    pump, stokes = sequence_fields(solved.schedule, spec.peak_rabi, spec.peak_rabi, "1", "2")
     system = TwoAtomSystem({"1": pump, "2": stokes}, spec.detuning, spec.interaction_shift)
     qubit_levels = ("00", "01", "10", "11")
-    finals, report, max_excited = _converge(spec, schedule, system.model(), qubit_levels)
+    finals, report, max_excited = _converge(solved, system.model(), qubit_levels)
     u, leakage = reconstruct_unitary(finals, qubit_levels)
     target = np.diag([1.0, 1.0, 1.0, np.exp(1j * target_phase)])
     achieved = principal_angle(float(np.angle(u[3, 3]) - np.angle(u[0, 0])))
@@ -297,7 +283,7 @@ def run_controlled_phase(
         leakage=leakage,
         phase=achieved,
         predicted_phase=predicted,
-        schedule=schedule,
+        schedule=solved.schedule,
         convergence=report,
         max_excited_population=max_excited,
         note=(

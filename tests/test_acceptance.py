@@ -6,6 +6,7 @@ assertions repeat the printed verdict, so a FAIL line always comes with a
 failing test.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -147,9 +148,7 @@ def test_criterion_2_transport_phase_triangle(capsys):
 
 def test_criterion_3_hadamard_certification(capsys):
     spec = GateSpec(
-        tau=1.0,
-        pulse_delay=0.8,
-        sequence_delay=4.0,
+        StirapSchedule(tau=1.0, pulse_delay=0.8, sequence_delay=4.0),
         peak_rabi=100.0 * math.pi,
         tolerance=1e-6,
     )
@@ -332,32 +331,25 @@ def _fidelity_ranges(base_spec, runner):
     for axis in ("peak_rabi", "pulse_delay"):
         fids = []
         for f in factors:
-            params = {
-                "tau": base_spec.tau,
-                "pulse_delay": base_spec.pulse_delay,
-                "sequence_delay": base_spec.sequence_delay,
-                "peak_rabi": base_spec.peak_rabi,
-                "interaction_shift": base_spec.interaction_shift,
-                "tolerance": base_spec.tolerance,
-            }
-            params[axis] = params[axis] * f
-            fids.append(runner(GateSpec(**params)).fidelity)
+            if axis == "peak_rabi":
+                spec = dataclasses.replace(base_spec, peak_rabi=base_spec.peak_rabi * f)
+            else:
+                schedule = base_spec.schedule
+                spec = dataclasses.replace(base_spec, schedule=dataclasses.replace(
+                    schedule, pulse_delay=schedule.pulse_delay * f))
+            fids.append(runner(spec).fidelity)
         ranges[axis] = (max(fids) - min(fids), min(fids))
     return ranges
 
 
 def test_criterion_8_fidelity_plateau(capsys):
     single = GateSpec(
-        tau=1.0,
-        pulse_delay=0.8,
-        sequence_delay=4.0,
+        StirapSchedule(tau=1.0, pulse_delay=0.8, sequence_delay=4.0),
         peak_rabi=100.0 * math.pi,
         tolerance=1e-6,
     )
     pair = GateSpec(
-        tau=1.5,
-        pulse_delay=0.6,
-        sequence_delay=10.0,
+        StirapSchedule(tau=1.5, pulse_delay=0.6, sequence_delay=10.0),
         peak_rabi=120.0,
         interaction_shift=0.1,
         tolerance=1e-6,

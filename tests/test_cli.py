@@ -227,6 +227,14 @@ def _raw_paths(node, prefix=""):
     return set().union(*(_raw_paths(v, f"{prefix}{k}.") for k, v in node.items()))
 
 
+def test_readme_python_quick_start_runs():
+    """The README's only code example runs against the installed API."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start in Python", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_schema_block_matches_the_schema():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration schema", 1)[1]
@@ -405,6 +413,17 @@ def test_gate_run_rejects_grid_settings_it_cannot_honour(tmp_path, capsys):
         cfg_path = write_config(tmp_path, raw)
         assert main(["gate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
         assert f"error: {path}:" in capsys.readouterr().err
+    # a gate picks its own system, drives and starts, so it refuses settings it would ignore
+    for name, assignment in (
+        ("phase_gate", "system.kind=two_atom"),
+        ("controlled_phase_gate", "system.kind=lambda"),
+        ("phase_gate", 'drives=[{"level": "q", "role": "pump", "peak_rabi": 1.0}]'),
+        ("phase_gate", "system.initial_state=s"),
+    ):
+        path = assignment.partition("=")[0]
+        assert main(["gate", "--config", str(REPO / "configs" / f"{name}.yaml"),
+                     "--out", str(tmp_path / "x"), "--set", assignment]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
 
 
 def test_gate_sweep_rejects_grid_settings_before_any_row_runs(tmp_path, capsys):
@@ -453,6 +472,29 @@ def test_gate_runs_refuse_an_invalid_schedule_under_its_path(
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: schedule: ")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("margin", ["-100", "0"])
+def test_gate_margin_must_be_positive(tmp_path, capsys, margin):
+    """The solved delay exceeds 2 tau + pulse_delay by at least the margin, and the
+    schedule needs it to exceed that floor, so only a positive margin always holds."""
+    out = tmp_path / "x"
+    rc = main(["gate", "--config", str(REPO / "configs" / "controlled_phase_gate.yaml"),
+               "--out", str(out), "--set", f"gate.margin={margin}"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: gate.margin: must be positive\n"
+    assert not out.exists()
+
+
+def test_gate_output_does_not_depend_on_the_sample_stride(tmp_path):
+    """A gate reads only terminal states and maxima over every step."""
+    outputs = []
+    for extra in ([], ["--set", "grid.sample_stride=1"]):
+        out = tmp_path / f"run{len(extra)}"
+        assert main(["gate", "--config", str(REPO / "configs" / "phase_gate.yaml"),
+                     "--out", str(out), "--set", "grid.tolerance=1e-4", *extra]) == 0
+        outputs.append((out / "gate.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("peak", ["-3", "0"])
@@ -509,6 +551,18 @@ def test_verbose_sweep_names_each_failed_point(tmp_path, capsys):
     err = capsys.readouterr().err
     for tau in (-2.0, -1.0):
         assert f"  failed at schedule.tau={tau}: schedule: tau must be positive\n" in err
+
+
+def test_trajectory_sweep_rejects_an_invalid_base_before_any_row_runs(tmp_path, capsys):
+    """Every row would fail on the base schedule, so the sweep exits 1 and writes no table."""
+    out = tmp_path / "x"
+    axis = {"parameter": "drives.0.peak_rabi", "start": 100, "stop": 120, "points": 3}
+    rc = main(["sweep", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+               "--out", str(out), "--workers", "1", "--set", f"sweep={{'axes': [{axis}]}}",
+               "--set", "schedule.tau=-1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: schedule: ")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_accepts_a_yaml_timestamp_override(tmp_path):

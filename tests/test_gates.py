@@ -9,6 +9,7 @@ from stirapgates import (
     GateSpec,
     LeakageError,
     StateVector,
+    StirapSchedule,
     basis_state,
     principal_angle,
     reconstruct_unitary,
@@ -21,13 +22,12 @@ from stirapgates import (
 
 QUBIT = ("0", "1")
 
-CHEAP = dict(tau=1.0, pulse_delay=0.8, sequence_delay=4.0, tolerance=1e-6)
+CHEAP = dict(tau=1.0, pulse_delay=0.8, sequence_delay=4.0)
 
 
-def spec_with(**overrides):
-    params = dict(CHEAP, peak_rabi=100.0 * math.pi)
-    params.update(overrides)
-    return GateSpec(**params)
+def spec_with(peak_rabi=100.0 * math.pi, base_step=None, **timing):
+    schedule = StirapSchedule(**dict(CHEAP, **timing))
+    return GateSpec(schedule, peak_rabi, base_step=base_step, tolerance=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -36,20 +36,28 @@ def spec_with(**overrides):
 
 def test_spec_schedule_inherits_validation():
     with pytest.raises(ValueError):
-        spec_with(tau=-1.0).schedule()
+        spec_with(tau=-1.0)
     with pytest.raises(ValueError):
-        spec_with(sequence_delay=1.0).schedule()  # shorter than the floor
+        spec_with(sequence_delay=1.0)  # shorter than the floor
 
 
 def test_spec_grid_defaults_resolve_the_pulse():
     spec = spec_with()
-    sched = spec.schedule()
-    grid = spec.grid(sched)
-    assert grid.step <= spec.tau / 200.0 + 1e-15
+    sched = spec.schedule
+    grid = spec.grid()
+    assert grid.step <= spec.schedule.tau / 200.0 + 1e-15
     assert grid.t_start == sched.t_start
     assert grid.t_end == sched.support_end
-    custom = spec_with(base_step=0.01).grid(sched)
+    custom = spec_with(base_step=0.01).grid()
     assert custom.step == pytest.approx(0.01, rel=0.2)
+
+
+def test_spec_grid_keeps_only_the_end_samples():
+    """A gate reads the terminal states; the maxima see every step, sampled or not."""
+    for base_step in (None, 0.01, 0.3):
+        grid = spec_with(base_step=base_step).grid()
+        for rung in (grid, grid.refined(), grid.refined().refined()):
+            assert rung.sample_indices().tolist() == [0, rung.n_steps]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def test_hadamard_sends_basis_to_balanced_superpositions():
 @pytest.mark.parametrize("target", [-math.pi / 2.0, 1.0, 3.0, -3.0])
 def test_solved_delay_lands_on_the_target_phase(target):
     shift = 0.11
-    delay, correction = solve_sequence_delay(1.5, 0.6, target, shift)
+    delay, correction = solve_sequence_delay(StirapSchedule(1.5, 0.6, 4.0), target, shift)
     floor = 2.0 * 1.5 + 0.6
     assert delay > floor
     collected = -shift * (delay - correction)
@@ -171,17 +179,18 @@ def test_solved_delay_lands_on_the_target_phase(target):
 
 def test_solver_needs_a_positive_shift():
     with pytest.raises(ValueError, match="positive"):
-        solve_sequence_delay(1.5, 0.6, 1.0, 0.0)
+        solve_sequence_delay(StirapSchedule(1.5, 0.6, 4.0), 1.0, 0.0)
     with pytest.raises(ValueError, match="positive"):
-        solve_sequence_delay(1.5, 0.6, 1.0, -0.2)
+        solve_sequence_delay(StirapSchedule(1.5, 0.6, 4.0), 1.0, -0.2)
 
 
 def test_solver_margin_pushes_the_floor():
     # one full turn of delay is 2 pi / shift, so a margin beyond that
     # forces extra turns while a small one does not
     shift = 0.5
-    tight, _ = solve_sequence_delay(1.0, 0.5, 0.0, shift, margin=0.1)
-    roomy, _ = solve_sequence_delay(1.0, 0.5, 0.0, shift, margin=30.0)
+    schedule = StirapSchedule(1.0, 0.5, 3.0)
+    tight, _ = solve_sequence_delay(schedule, 0.0, shift, margin=0.1)
+    roomy, _ = solve_sequence_delay(schedule, 0.0, shift, margin=30.0)
     assert roomy > tight
     assert roomy > 2.0 + 0.5 + 30.0
     assert (roomy - tight) == pytest.approx(
@@ -195,9 +204,7 @@ def test_solver_margin_pushes_the_floor():
 
 def test_controlled_phase_quarter_turn():
     spec = GateSpec(
-        tau=1.5,
-        pulse_delay=0.6,
-        sequence_delay=10.0,
+        StirapSchedule(tau=1.5, pulse_delay=0.6, sequence_delay=10.0),
         peak_rabi=120.0,
         interaction_shift=0.1,
         tolerance=1e-6,
@@ -208,8 +215,8 @@ def test_controlled_phase_quarter_turn():
     assert report.predicted_phase == pytest.approx(-math.pi / 2.0, abs=1e-9)
     assert "sequence delay solved" in report.note
     # the requested delay is replaced by the solved one
-    assert report.schedule.sequence_delay != spec.sequence_delay
-    assert report.schedule.sequence_delay > 2.0 * spec.tau + spec.pulse_delay
+    assert report.schedule.sequence_delay != spec.schedule.sequence_delay
+    assert report.schedule.sequence_delay > 2.0 * spec.schedule.tau + spec.schedule.pulse_delay
     # single-transfer columns stay phase-free
     assert abs(np.angle(report.unitary[1, 1])) < 5e-3
     assert abs(np.angle(report.unitary[2, 2])) < 5e-3
@@ -217,9 +224,7 @@ def test_controlled_phase_quarter_turn():
 
 def test_controlled_phase_without_interaction_is_the_identity():
     spec = GateSpec(
-        tau=1.0,
-        pulse_delay=0.5,
-        sequence_delay=4.0,
+        StirapSchedule(tau=1.0, pulse_delay=0.5, sequence_delay=4.0),
         peak_rabi=100.0 * math.pi,
         interaction_shift=0.0,
         tolerance=1e-6,
