@@ -202,12 +202,22 @@ class ExperimentConfig:
     grid: GridConfig = _nested(GridConfig, GridConfig())
     gate: GateConfig | None = _nested(GateConfig, None)
     sweep: SweepConfig | None = _nested(SweepConfig, None)
-    seed: int | None = _scalar(_as_int, None)
     output_dir: str | None = _scalar(_as_text, None)
 
     @property
     def sweep_axes(self) -> tuple[AxisConfig, ...]:
         return () if self.sweep is None else self.sweep.axes
+
+
+# The config fields each command reads, as dotted path prefixes. A run refuses
+# any other field its config sets, and records only these. A sweep reads what
+# its rows read (gate with a gate section, else simulate) and the sweep section.
+_READS = {
+    "simulate": ("system", "schedule", "drives", "grid", "output_dir"),
+    "gate": ("system.kind", "system.detuning", "system.interaction_shift", "schedule", "gate",
+             "grid.base_step", "grid.tolerance", "output_dir"),
+    "phase": ("system.kind", "system.interaction_shift", "schedule", "drives", "output_dir"),
+}
 
 
 def _parse_field(spec, value, path: str):
@@ -293,6 +303,39 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical mapping form; parse_config inverts it exactly. Unset optional
     values are left out, except nullable ones, which are written as null."""
     return _dump(cfg)
+
+
+def _sets(value) -> bool:
+    """Whether a raw config value sets anything; a null or an empty section does not."""
+    if isinstance(value, (dict, list)):
+        return any(map(_sets, value.values() if isinstance(value, dict) else value))
+    return value is not None
+
+
+def _command_reads(command: str, cfg: ExperimentConfig) -> tuple[str, tuple[str, ...]]:
+    """The label of the run and the fields it reads; a sweep axis must be one of them."""
+    if command != "sweep":
+        return command, _READS[command]
+    rows = "simulate" if cfg.gate is None else "gate"
+    for i, axis in enumerate(cfg.sweep_axes):
+        if not any((axis.parameter + ".").startswith(read + ".") for read in _READS[rows]):
+            raise ConfigError(f"sweep.axes.{i}.parameter: a {rows} run does not read it")
+    return f"{rows} sweep", (*_READS[rows], "sweep")
+
+
+def _read_part(node: dict, reads: tuple[str, ...], refuse: str = "", prefix: str = "") -> dict:
+    """The entries of ``node`` that the fields in ``reads`` cover. With ``refuse``,
+    the label of the run, an entry outside them that sets a value raises."""
+    out = {}
+    for key, value in node.items():
+        path = prefix + key
+        if path in reads:
+            out[key] = value
+        elif isinstance(value, dict) and any(read.startswith(path + ".") for read in reads):
+            out[key] = _read_part(value, reads, refuse, path + ".")
+        elif refuse and _sets(value):
+            raise ConfigError(f"{path}: a {refuse} run does not read it; leave it unset")
+    return out
 
 
 def load_config(path: str) -> dict:
@@ -441,16 +484,10 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
         raise ConfigError("gate: section is required for gate runs")
     if cfg.grid.tolerance is None:
         raise ConfigError("grid.tolerance: gate runs converge the step ladder; null is not allowed")
-    if cfg.grid.t_end is not None:
-        raise ConfigError("grid.t_end: gate runs span the whole pulse support; leave it unset")
     system = _GATE_SYSTEMS[cfg.gate.kind]
     if cfg.system.kind != system:
         raise ConfigError(f"system.kind: a {cfg.gate.kind} gate runs on the {system} system, "
                           f"got {cfg.system.kind!r}")
-    if cfg.drives:
-        raise ConfigError("drives: gate runs build their own drives; leave it empty")
-    if cfg.system.initial_state is not None:
-        raise ConfigError("system.initial_state: gates start from each qubit level; leave it unset")
     if cfg.gate.kind == "controlled_phase" and not cfg.system.interaction_shift > 0.0:
         raise ConfigError("system.interaction_shift: must be positive for a controlled-phase "
                           "gate, which solves for the sequence delay that hits its phase")
@@ -772,17 +809,19 @@ def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
 
 
 def _run_command(args) -> int:
-    """Load the config with its overrides, run the command, then write the
-    resolved config and a manifest of every file the command wrote."""
+    """Load the config with its overrides and refuse what the command does not
+    read; run it, then write the fields it read and a manifest of its files."""
     started = time.monotonic()
     raw = load_config(args.config)
     for assignment in args.overrides:
         apply_override(raw, assignment)
     cfg = parse_config(raw)
+    label, reads = _command_reads(args.command, cfg)
+    _read_part(raw, reads, refuse=label)
     out_dir = args.out or cfg.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     outputs, code = args.func(args, raw, cfg, out_dir)
-    canonical = config_to_dict(cfg)
+    canonical = _read_part(config_to_dict(cfg), reads)
     _dump_resolved_config(out_dir, canonical)
     _write_manifest(out_dir, args.command, canonical, [*outputs, "resolved_config.yaml"], started)
     return code

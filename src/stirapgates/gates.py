@@ -16,7 +16,7 @@ import numpy as np
 
 from .geomphase import berry_phase_closed_form, ramp_weight_deficit
 from .propagator import ConvergenceReport, TimeGrid, converge_many
-from .pulses import PhaseRamp, StirapSchedule
+from .pulses import PhaseRamp, StirapSchedule, _require_finite
 from .qcore import StateVector, basis_state, principal_angle, unitary_fidelity
 from .systems import HamiltonianModel, LambdaSystem, TripodSystem, TwoAtomSystem, sequence_fields
 
@@ -45,6 +45,10 @@ class GateSpec:
     interaction_shift: float = 0.0
     base_step: float | None = None
     tolerance: float = 1e-8
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "peak_rabi", "detuning", "interaction_shift", "base_step",
+                        "tolerance")
 
     def grid(self) -> TimeGrid:
         """Starting grid with only its end samples; the maxima still see every step."""

@@ -657,6 +657,13 @@ def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,
         run = _run_fixed_step(model, block, current, found)
         steps.append(current.step)
         dist = float(np.max(np.linalg.norm(run[1][-1] - coarse_final, axis=0)))
+        if not math.isfinite(dist):
+            # the first rung is clamped inside RK4's stability region and each rung
+            # halves the step, so a state that is not finite comes from a
+            # Hamiltonian that is not, and no finer rung mends it
+            raise IntegrationQualityError(
+                f"terminal distance {dist} at step {current.step:.3e} is not finite"
+            )
         distances.append(dist)
         drift = run[2]
         if dist <= tolerance and drift <= NORM_DRIFT_LIMIT:
@@ -692,8 +699,9 @@ def converge_many(
     One ladder is shared by the whole batch. Acceptance requires both the
     worst terminal-state distance at or below ``tolerance`` and a healthy
     norm; the finest trajectories are returned. Raises ConvergenceError
-    when the halving cap is exhausted, and ValueError for a tolerance that
-    is not a positive finite number.
+    when the halving cap is exhausted, IntegrationQualityError at the first
+    terminal distance that is not finite, and ValueError for a tolerance
+    that is not a positive finite number.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")

@@ -9,11 +9,21 @@ in the storage level; afterwards it has returned to the pump level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 RAMP_KINDS = ("constant", "linear")
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of the number fields ``names`` of ``obj``
+    (all of its fields when none are named) that is set and not finite."""
+    for name in names or [f.name for f in fields(obj)]:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,7 @@ class PulseEnvelope:
             raise ValueError("tau must be positive")
         if not self.omega_max >= 0.0:
             raise ValueError("omega_max must be non-negative; put sign flips in the phase ramp")
+        _require_finite(self)
 
     @property
     def t_off(self) -> float:
@@ -64,6 +75,7 @@ class PhaseRamp:
     def __post_init__(self) -> None:
         if self.kind not in RAMP_KINDS:
             raise ValueError(f"unknown ramp kind {self.kind!r}")
+        _require_finite(self, "offset", "slope")
         if self.kind == "constant" and self.slope != 0.0:
             raise ValueError("constant ramps must have zero slope")
 
@@ -134,6 +146,7 @@ class StirapSchedule:
     t_start: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
         if not self.pulse_delay > 0.0:
@@ -144,6 +157,9 @@ class StirapSchedule:
             raise ValueError(
                 "sequence_delay must exceed 2 tau + pulse_delay so the sequences do not overlap"
             )
+        if not self.support_end > self.t_start:
+            raise ValueError(f"t_start {self.t_start!r} is so large that the pulse support "
+                             "rounds away in floating point")
 
     @property
     def stokes_onsets(self) -> tuple[float, float]:

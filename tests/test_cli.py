@@ -77,7 +77,6 @@ def test_parse_fills_grid_defaults():
     assert cfg.grid.tolerance == 1e-8
     assert cfg.gate is None
     assert cfg.sweep_axes == ()
-    assert cfg.seed is None
 
 
 def test_parse_names_unknown_keys():
@@ -130,7 +129,6 @@ def test_config_round_trips_through_its_dict_form():
                 {"parameter": "gate.peak_rabi", "start": 90.0, "stop": 110.0, "points": 3}
             ]
         },
-        "seed": 7,
         "output_dir": "results",
     }
     cfg = parse_config(raw)
@@ -419,6 +417,9 @@ def test_gate_run_rejects_grid_settings_it_cannot_honour(tmp_path, capsys):
         ("controlled_phase_gate", "system.kind=lambda"),
         ("phase_gate", 'drives=[{"level": "q", "role": "pump", "peak_rabi": 1.0}]'),
         ("phase_gate", "system.initial_state=s"),
+        ("phase_gate", "grid.sample_stride=1"),
+        ("phase_gate", 'sweep={"axes": [{"parameter": "gate.peak_rabi", "start": 290, '
+                       '"stop": 310, "points": 2}]}'),
     ):
         path = assignment.partition("=")[0]
         assert main(["gate", "--config", str(REPO / "configs" / f"{name}.yaml"),
@@ -461,6 +462,7 @@ def test_controlled_phase_refuses_a_shift_that_is_not_positive(tmp_path, capsys,
     ("gate", "phase_gate", "schedule.pulse_delay=5"),
     ("gate", "controlled_phase_gate", "schedule.sequence_delay=-5"),
     ("sweep", "pulse_area_sweep", "schedule.tau=-1"),
+    ("gate", "phase_gate", "schedule.t_start=1e300"),
 ])
 def test_gate_runs_refuse_an_invalid_schedule_under_its_path(
         tmp_path, capsys, command, config, assignment):
@@ -484,17 +486,6 @@ def test_gate_margin_must_be_positive(tmp_path, capsys, margin):
     assert rc == 1
     assert capsys.readouterr().err == "error: gate.margin: must be positive\n"
     assert not out.exists()
-
-
-def test_gate_output_does_not_depend_on_the_sample_stride(tmp_path):
-    """A gate reads only terminal states and maxima over every step."""
-    outputs = []
-    for extra in ([], ["--set", "grid.sample_stride=1"]):
-        out = tmp_path / f"run{len(extra)}"
-        assert main(["gate", "--config", str(REPO / "configs" / "phase_gate.yaml"),
-                     "--out", str(out), "--set", "grid.tolerance=1e-4", *extra]) == 0
-        outputs.append((out / "gate.json").read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("peak", ["-3", "0"])
@@ -674,6 +665,63 @@ def test_only_sweep_takes_a_worker_count(tmp_path, capsys):
         assert main([command, "--config", cfg_path, "--out", str(out), "--workers", "2"]) == 1
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the fields each command reads
+
+
+@pytest.mark.parametrize("command, config, assignments, path", [
+    ("phase", "ramp_phase_prediction",
+     ["grid.tolerance=1e-3", "system.initial_state=q",
+      'gate={"kind": "hadamard", "peak_rabi": 5}'], "system.initial_state"),
+    ("phase", "ramp_phase_prediction", ["grid.tolerance=1e-3"], "grid"),
+    ("phase", "collisional_phase_prediction", ["system.detuning=0.5"], "system.detuning"),
+    ("simulate", "dark_transport", ['gate={"kind": "hadamard", "peak_rabi": 5}'], "gate"),
+    ("sweep", "pulse_area_sweep", ["sweep.axes.0.parameter=grid.sample_stride",
+                                   "sweep.axes.0.start=4", "sweep.axes.0.stop=8"],
+     "sweep.axes.0.parameter"),
+])
+def test_a_run_refuses_a_field_its_command_does_not_read(
+        tmp_path, capsys, command, config, assignments, path):
+    """The check runs before the output directory is made, so nothing is written."""
+    out = tmp_path / "x"
+    argv = [command, "--config", str(REPO / "configs" / f"{config}.yaml"), "--out", str(out)]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
+def test_a_phase_run_records_only_the_fields_it_read(tmp_path):
+    """Not the ``grid: {}`` its config carries; the record replays byte for byte."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    config = str(REPO / "configs" / "ramp_phase_prediction.yaml")
+    assert main(["phase", "--config", config, "--out", str(first)]) == 0
+    resolved = load_config(str(first / "resolved_config.yaml"))
+    assert sorted(resolved) == ["drives", "schedule", "system"]
+    assert sorted(resolved["system"]) == ["interaction_shift", "kind"]
+    assert main(["phase", "--config", str(first / "resolved_config.yaml"),
+                 "--out", str(second)]) == 0
+    for name in ("phase.json", "resolved_config.yaml"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_a_gate_sweep_row_replays_as_a_gate_run(tmp_path):
+    sweep, gate = tmp_path / "sweep", tmp_path / "gate"
+    assert main(["sweep", "--config", str(REPO / "configs" / "pulse_area_sweep.yaml"),
+                 "--out", str(sweep), "--workers", "1", "--set", "grid.tolerance=1e-4",
+                 "--set", "sweep.axes.0.points=1", "--set", "sweep.axes.0.start=310"]) == 0
+    resolved = sweep / "resolved_config.yaml"
+    assert sorted(load_config(str(resolved))["grid"]) == ["base_step", "tolerance"]
+    with open(sweep / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert main(["gate", "--config", str(resolved), "--out", str(gate), "--set", "sweep=null",
+                 "--set", f"gate.peak_rabi={row['gate.peak_rabi']}"]) == 0
+    payload = json.loads((gate / "gate.json").read_text())
+    assert float(row["fidelity"]) == payload["fidelity"]
+    assert float(row["phase"]) == payload["phase"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from stirapgates import (
     GateSpec,
     LeakageError,
+    PhaseRamp,
+    PulseEnvelope,
     StateVector,
     StirapSchedule,
     basis_state,
@@ -39,6 +41,21 @@ def test_spec_schedule_inherits_validation():
         spec_with(tau=-1.0)
     with pytest.raises(ValueError):
         spec_with(sequence_delay=1.0)  # shorter than the floor
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StirapSchedule(2.0, 0.8, 8.0, t_start=math.inf), "t_start must be finite"),
+    (lambda: StirapSchedule(2.0, 0.8, 8.0, t_start=1e300), "t_start .* rounds away"),
+    (lambda: PhaseRamp(kind="linear", slope=math.nan), "slope must be finite"),
+    (lambda: PulseEnvelope(1.0, 1.0, t_on=math.nan), "t_on must be finite"),
+    (lambda: GateSpec(StirapSchedule(**CHEAP), 40.0, tolerance=math.nan),
+     "tolerance must be finite"),
+    (lambda: GateSpec(StirapSchedule(**CHEAP), math.nan), "peak_rabi must be finite"),
+], ids=["schedule-t_start", "schedule-span", "ramp-slope", "envelope-t_on", "spec-tolerance",
+        "spec-peak_rabi"])
+def test_constructors_name_a_non_finite_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_spec_grid_defaults_resolve_the_pulse():

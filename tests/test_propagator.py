@@ -46,6 +46,7 @@ from stirapgates.propagator import (
     _idle_steps,
     _lumped,
     _rk4_transfer,
+    _run_fixed_step,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -967,6 +968,24 @@ def test_converge_raises_when_the_cap_is_exhausted():
     with pytest.raises(ConvergenceError):
         converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-15, max_halvings=2)
     assert issubclass(ConvergenceError, IntegrationQualityError)
+
+
+def test_converge_stops_at_the_first_non_finite_distance(monkeypatch):
+    """A NaN never converges, so the ladder stops after its first two rungs."""
+    runs = []
+
+    def counting(*args):
+        runs.append(args[2].step)
+        return _run_fixed_step(*args)
+
+    monkeypatch.setattr("stirapgates.propagator._run_fixed_step", counting)
+    model = HamiltonianModel(LABELS2, SIGMA_X + np.diag([0.0, math.nan]), [])
+    grid = TimeGrid(0.0, 1.0, 0.1, sample_stride=1)
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationQualityError) as exc:
+        converge_many(model, [basis_state(LABELS2, "0")], grid)
+    assert exc.type is IntegrationQualityError
+    assert str(exc.value) == f"terminal distance nan at step {runs[-1]:.3e} is not finite"
+    assert len(runs) == 2
 
 
 def test_converge_many_shares_one_ladder():
