@@ -9,12 +9,13 @@ integrated as a small dedicated Schrodinger problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .propagator import ConvergenceReport, TimeGrid, Trajectory, converge_many
-from .pulses import MixingProfile, PhaseRamp, StirapSchedule
+from .pulses import MixingProfile, PhaseRamp, StirapSchedule, _require_positive
 from .qcore import StateVector
 from .systems import HamiltonianModel
 
@@ -91,7 +92,8 @@ def mixing_integral(
     With power 1 this equals the sequence delay exactly: the two ramp
     regions are mirror images and their deviations from the hold cancel.
     """
-    return _weight_integral(schedule, lambda vals: vals**power, peak_pump, peak_stokes)
+    return _weight_integral(schedule, lambda vals: vals**power,
+                            peak_pump=peak_pump, peak_stokes=peak_stokes)
 
 
 def berry_phase_numeric(
@@ -106,7 +108,8 @@ def berry_phase_numeric(
     phase is taken constant and the winding rate is the stokes ramp slope.
     """
     rate = stokes_phase.slope
-    return _weight_integral(schedule, lambda vals: -rate * vals, peak_pump, peak_stokes)
+    return _weight_integral(schedule, lambda vals: -rate * vals,
+                            peak_pump=peak_pump, peak_stokes=peak_stokes)
 
 
 def berry_phase_closed_form(schedule: StirapSchedule, stokes_phase: PhaseRamp) -> float:
@@ -119,45 +122,33 @@ def berry_phase_closed_form(schedule: StirapSchedule, stokes_phase: PhaseRamp) -
     return stokes_phase.value(t_a) - stokes_phase.value(t_a + schedule.sequence_delay)
 
 
-def _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end):
-    """Normalize a schedule or an angle callable into (R(t), bounds, kinks).
-
-    R is the transferred-level weight sin^2(theta_2) as a vectorized
-    function of time.
-    """
-    if isinstance(theta, StirapSchedule):
-        profile = MixingProfile(theta, peak_pump=peak_1, peak_stokes=peak_2)
-
-        def weight(times: np.ndarray) -> np.ndarray:
-            vals, _ = profile.values(times)
-            return vals
-
-        return weight, theta.t_start, theta.support_end, schedule_breakpoints(theta)
-    if callable(theta):
-        if t_start is None or t_end is None:
-            raise ValueError("a bare angle callable needs explicit t_start and t_end")
-
-        def weight(times: np.ndarray) -> np.ndarray:
-            times = np.atleast_1d(times)
-            return np.array([np.sin(float(theta(float(t)))) ** 2 for t in times])
-
-        return weight, float(t_start), float(t_end), ()
-    raise TypeError(f"expected a schedule or an angle callable, got {type(theta)!r}")
+def _mixing_weight(schedule: StirapSchedule, **peaks: float):
+    """R(times), the transferred-level weight sin^2(theta) of the schedule, as a
+    vectorized function of time; ``peaks`` are the pump and then the stokes
+    peak under the caller's parameter names, so a bad one is refused by name."""
+    if not isinstance(schedule, StirapSchedule):
+        raise TypeError(f"expected a StirapSchedule, got {type(schedule)!r}")
+    _require_positive(**peaks)
+    profile = MixingProfile(schedule, *peaks.values())
+    return lambda times: profile.values(times)[0]
 
 
-def _weight_integral(theta, f, peak_1, peak_2, t_start=None, t_end=None):
+def _weight_integral(schedule: StirapSchedule, f, **peaks: float) -> PhaseEstimate:
     """Quadrature of f(R) over the sequence, R the transferred-level weight."""
-    weight, a, b, kinks = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
-    return integrate_piecewise(
-        lambda times: f(weight(times)), a, b, breakpoints=kinks, intervals=_WEIGHT_INTERVALS
-    )
+    weight = _mixing_weight(schedule, **peaks)
+    return integrate_piecewise(lambda times: f(weight(times)), schedule.t_start,
+                               schedule.support_end, breakpoints=schedule_breakpoints(schedule),
+                               intervals=_WEIGHT_INTERVALS)
+
+
+def _require_finite_shift(shift: float) -> None:
+    if not math.isfinite(shift):
+        raise ValueError(f"interaction_shift must be finite, got {shift!r}")
 
 
 def two_qubit_phase(
-    theta,
+    schedule: StirapSchedule,
     interaction_shift: float,
-    t_start: float | None = None,
-    t_end: float | None = None,
     peak_1: float = 1.0,
     peak_2: float = 1.0,
 ) -> PhaseEstimate:
@@ -165,10 +156,10 @@ def two_qubit_phase(
 
     The doubly-excited component carries weight equal to the square of the
     single-atom mixing weight, and the interaction shift turns that weight
-    into a phase rate. ``theta`` is a pulse schedule or a callable mapping
-    time to the mixing angle in radians (then the bounds are required).
+    into a phase rate.
     """
-    est = _weight_integral(theta, lambda r: r * r, peak_1, peak_2, t_start, t_end)
+    _require_finite_shift(interaction_shift)
+    est = _weight_integral(schedule, lambda r: r * r, peak_1=peak_1, peak_2=peak_2)
     return PhaseEstimate(
         value=-interaction_shift * est.value,
         error_estimate=abs(interaction_shift) * est.error_estimate,
@@ -186,7 +177,8 @@ def ramp_weight_deficit(
     their shape as the second pulse pair slides), which makes it the
     natural correction when solving for a delay that hits a phase target.
     """
-    return _weight_integral(schedule, lambda vals: vals * (1.0 - vals), peak_1, peak_2).value
+    return _weight_integral(schedule, lambda vals: vals * (1.0 - vals),
+                            peak_1=peak_1, peak_2=peak_2).value
 
 
 def _pair_law(shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,10 +234,8 @@ class WzResult:
 
 
 def wz_propagate(
-    theta,
+    schedule: StirapSchedule,
     interaction_shift: float,
-    t_start: float | None = None,
-    t_end: float | None = None,
     peak_1: float = 1.0,
     peak_2: float = 1.0,
     base_step: float = 0.01,
@@ -256,11 +246,11 @@ def wz_propagate(
     Starts entirely in the doubly-transferred state. The returned phase is
     that state's unwrapped terminal phase; the mixing numbers quantify how
     much amplitude ever reaches (and finally remains in) its partner.
-    ``theta`` follows the same schedule-or-callable convention as
-    ``two_qubit_phase``.
     """
-    weight, a, b, _ = _resolve_weight_profile(theta, peak_1, peak_2, t_start, t_end)
-    grid = TimeGrid(t_start=a, t_end=b, base_step=base_step, sample_stride=8)
+    _require_finite_shift(interaction_shift)
+    weight = _mixing_weight(schedule, peak_1=peak_1, peak_2=peak_2)
+    grid = TimeGrid(t_start=schedule.t_start, t_end=schedule.support_end, base_step=base_step,
+                    sample_stride=8)
     start = StateVector(np.array([1.0, 0.0], dtype=complex), _WZ_LABELS)
     static, m1, m2 = _pair_law(interaction_shift)
     model = HamiltonianModel(_WZ_LABELS, static, [(_MixingWeights(weight), m1, m2)])

@@ -1,22 +1,21 @@
 """Fixed-step Schrodinger propagation with an explicit convergence ladder.
 
 The integrator is the classical fourth-order Runge-Kutta scheme on a
-uniform grid. The scheme is linear in the state, so each step is one
-transfer matrix, built for a whole chunk of steps at once from the sampled
-Hamiltonians; a run of such steps is applied as a blocked prefix scan. Each
-block of levels that H couples runs on its own, with one amplitude per cell
-of levels that stay equal, and blocks with equal lumped models share one
-state. These blocks, cells and shared runs are found here, once per run,
-from the model's ``terms``. Where every drive acting on a block of levels
-is off and the block's static part is diagonal, the transfer matrix is a
-fixed per-level factor, so such runs of steps are filled with its powers
-without sampling. Norm drift and maximum populations still cover every
-step, not just the sampled ones. The state is never renormalized; the norm
-defect is a diagnostic that reports integration quality, and
-``converge_many`` halves the step until successive terminal states agree.
-Phases are unwrapped along the time axis only while a level is populated;
-across depopulated gaps the last defined value is frozen and unwrapping
-resumes relative to it.
+uniform grid, and the ``_rk4_*`` functions are the one place it lives:
+node times, step matrices, idle factor and the ladder's starting step.
+Each step is one transfer matrix, built for a chunk of steps at once; a
+run of them is applied as a blocked prefix scan. A ``_Plan`` holds what no
+step changes, and is built once per ``propagate_many`` call and once per
+``converge_many`` ladder: each block of levels that H couples runs on its
+own, with one amplitude per cell of levels that stay equal, and blocks
+with equal lumped models share one run. A rung builds only the idle
+factor's powers and the chunk buffers. Steps where every drive acting on a
+block is off and its static part is diagonal are idle: filled with the
+factor's powers, unsampled. Norm drift and maximum populations cover every
+step. The state is never renormalized; ``converge_many`` halves the step
+until successive terminal states agree. Phases are unwrapped along the
+time axis only while a level is populated; across depopulated gaps the
+last defined value is frozen and unwrapping resumes relative to it.
 """
 
 from __future__ import annotations
@@ -32,28 +31,15 @@ from .systems import HamiltonianModel
 NORM_DRIFT_LIMIT = 1e-6
 
 _MAX_HALVINGS = 10
-_STABILITY_FACTOR = 0.8
 # A chunk holds at most _CHUNK_STEPS steps and _CHUNK_ENTRIES transfer-matrix
 # entries of its largest lumped model: 128 steps at dim 16, 910 at 6 cells.
 # Small dim-16 buffers keep the heap from fragmenting when idle runs cut the
 # driven runs to varying lengths.
 _CHUNK_STEPS = 1024
 _CHUNK_ENTRIES = 2**15
-
-
-# Up to this dim a batched d x d matmul is bound by its per-call overhead, so
-# _rk4_transfer multiplies elementwise
-_SMALL_DIM = 4
 # Steps per block of the driven-run scan at every dim: at dim 9, width 1, it
 # took 1.0-1.5 us a step against 3.1 us with one step per block
 _SCAN_STEPS = 16
-# _rk4_transfer works through pieces of at most this many matrix entries, so
-# each of its temporaries is 64 KB or less: at 1024 steps a piece, dim 3 and 4
-# ran 1.5-2x slower, and dim 9 at 404 steps 1.6x
-_PIECE_ENTRIES = 4096
-# A clamped first rung may start at most this many steps; a drive that needs
-# more is refused before any step is taken
-_MAX_START_STEPS = 2**20
 
 
 class IntegrationQualityError(RuntimeError):
@@ -121,9 +107,6 @@ class TimeGrid:
             base_step=self.span / (2 * self.n_steps),
             sample_stride=2 * self.sample_stride,
         )
-
-    def with_step(self, base_step: float) -> "TimeGrid":
-        return TimeGrid(self.t_start, self.t_end, base_step, self.sample_stride)
 
 
 @dataclass(frozen=True)
@@ -204,6 +187,37 @@ def _as_model(hamiltonian, labels: tuple[str, ...]) -> HamiltonianModel:
     raise TypeError(f"unsupported Hamiltonian input: {type(hamiltonian)!r}")
 
 
+# RK4, the one place the scheme lives: a step from t to t + h reads H at t,
+# t + h/2 and t + h, and consecutive steps share their end node
+
+_STABILITY_FACTOR = 0.8
+# A clamped first rung may start at most this many steps; a drive that needs
+# more is refused before any step is taken
+_MAX_START_STEPS = 2**20
+# Up to this dim a batched d x d matmul is bound by its per-call overhead, so
+# _rk4_transfer multiplies elementwise
+_SMALL_DIM = 4
+# _rk4_transfer works through pieces of at most this many matrix entries, so
+# each of its temporaries is 64 KB or less: at 1024 steps a piece, dim 3 and 4
+# ran 1.5-2x slower, and dim 9 at 404 steps 1.6x
+_PIECE_ENTRIES = 4096
+
+
+def _rk4_nodes(t0: float, h: float, first: int, steps: int) -> np.ndarray:
+    """The 2 steps + 1 node times of steps first, ..., first + steps - 1."""
+    return t0 + h * (first + 0.5 * np.arange(2 * steps + 1))
+
+
+def _rk4_node_span(a: int, b: int) -> slice:
+    """The nodes of steps a, ..., b - 1 among the nodes ``_rk4_nodes`` gives."""
+    return slice(2 * a, 2 * b + 1)
+
+
+def _rk4_whole_steps(at_nodes: np.ndarray) -> np.ndarray:
+    """Mask over the steps whose every node is True in the node mask ``at_nodes``."""
+    return at_nodes[0:-1:2] & at_nodes[1::2] & at_nodes[2::2]
+
+
 def _rk4_combine(a0, a1, a2, product):
     """M - I of the RK4 step from the node stacks A(t), A(t+h/2), A(t+h).
 
@@ -237,8 +251,8 @@ def _elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
-    """RK4 step matrices from a stack of A = -i h H at t, t+h/2, t+h, t+3h/2, ...
+def _rk4_transfer(stack: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices from a stack of H at the nodes, scaled in place to A = -i h H.
 
     RK4 is linear in the state, so one step is psi -> M psi, with M the
     scheme applied to the identity (``_rk4_combine``). Up to ``_SMALL_DIM``
@@ -246,6 +260,7 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     stack; above it, by batched matmul. Either way the steps are taken in
     pieces of at most ``_PIECE_ENTRIES`` matrix entries.
     """
+    stack *= -1j * h
     steps, dim = len(stack) // 2, stack.shape[1]
     m = np.empty((steps, dim, dim), dtype=complex)
     piece = max(1, _PIECE_ENTRIES // dim**2)
@@ -261,6 +276,41 @@ def _rk4_transfer(stack: np.ndarray) -> np.ndarray:
     diag = np.arange(dim)
     m[:, diag, diag] += 1.0
     return m
+
+
+def _rk4_idle_powers(diagonal: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """(steps, levels, 1) factors of 1, ..., ``steps`` idle steps: the powers of the RK4
+    step 1 + z + z^2/2 + z^3/6 + z^4/24 for the constant A = z = -i h diag(``diagonal``)."""
+    z = -1j * h * diagonal
+    factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
+    return np.cumprod(np.broadcast_to(factor, (steps, len(diagonal))), axis=0)[:, :, None]
+
+
+def _rk4_start_step(model, grid: TimeGrid) -> float:
+    """Largest step the ladder may start from, by an infinity-norm scan.
+
+    The scan probes 257 uniform times plus the peak of every drive envelope
+    the model carries, so a pulse narrower than the probe spacing still
+    counts. A clamped step that needs more than ``_MAX_START_STEPS`` steps
+    raises IntegrationQualityError.
+    """
+    peaks = [env.t_on + env.tau for fld in model.fields for env in fld.envelopes]
+    probes = np.concatenate((
+        np.linspace(grid.t_start, grid.t_end, 257),
+        [t for t in peaks if grid.t_start <= t <= grid.t_end],
+    ))
+    stack = model.sample(probes)
+    norm = float(np.max(np.sum(np.abs(stack), axis=2)))
+    if norm == 0.0:
+        return grid.step
+    step = min(grid.step, _STABILITY_FACTOR / norm)
+    if step < grid.step and grid.span / step > _MAX_START_STEPS:
+        raise IntegrationQualityError(
+            f"drive strength |H|_inf = {norm:.3e} needs a starting step of {step:.3e}, "
+            f"{grid.span / step:.3e} steps over the span; the ladder starts at most "
+            f"{_MAX_START_STEPS} steps"
+        )
+    return step
 
 
 def _scan(mats: np.ndarray, out: np.ndarray) -> None:
@@ -285,56 +335,6 @@ def _scan(mats: np.ndarray, out: np.ndarray) -> None:
         np.matmul(prods, out[:full:block, None], out=inner)
     if full < len(mats):
         np.matmul(mats[full:], out[full], out=out[full + 1:])
-
-
-class _Block:
-    """The lumped model of one or more blocks of levels, propagated together.
-
-    ``members`` holds (rows, cells, cols, slot) for each block of levels
-    that shares it: the block's levels, the cell of each level, the columns
-    of the batch the block holds amplitude in, and the slice where those
-    columns sit side by side in the state. ``out`` is the (chunk + 1, cells,
-    columns) state buffer, holding the common amplitude of each cell, and
-    ``max_pops`` the maximum populations so far. ``pick`` reads the cell of
-    each level from an array over cells: the cells, or everything in place
-    when each cell is one level. ``powers`` are the idle factor's powers
-    when the static part is diagonal, else None: the idle factor is the RK4
-    step for the constant A = -i h static. ``key`` is the drive columns its
-    idle steps are read from, or None when it has no idle steps; blocks
-    with one key share one idle mask.
-    """
-
-    def __init__(self, model, members: list, psi0: np.ndarray, chunk_steps: int, h: float):
-        self.model = model
-        self.members = members
-        cells = members[0][1]
-        count = cells.max() + 1
-        self.pick = slice(None) if count == cells.size else cells
-        width = sum(cols.size for _, _, cols, _ in members)
-        self.out = np.empty((chunk_steps + 1, count, width), dtype=complex)
-        # start columns are constant on each cell: read its first level
-        firsts = np.unique(cells, return_index=True)[1]
-        for rows, _, cols, slot in members:
-            self.out[0][:, slot] = psi0[np.ix_(rows[firsts], cols)]
-        self.max_pops = np.abs(self.out[0]) ** 2
-        self.powers = self.key = None
-        static = model.static
-        diagonal = np.diag(static)
-        if not (static - np.diag(diagonal)).any():
-            z = -1j * h * diagonal
-            factor = 1.0 + _rk4_combine(z, z, z, np.multiply)
-            self.powers = np.cumprod(np.broadcast_to(factor, (chunk_steps, count)),
-                                     axis=0)[:, :, None]
-            # the coefficient columns whose matrix is nonzero on these cells
-            self.key = tuple(1 + np.flatnonzero(model.terms[1:].any(axis=1)))
-
-
-def _idle_steps(coeffs: np.ndarray, columns) -> np.ndarray:
-    """Boolean mask over the steps whose nodes t, t+h/2, t+h are the rows
-    0-1-2, 2-3-4, ... of ``coeffs``: where every coefficient in ``columns``
-    is exactly zero at all three nodes. There H(t) is its static part."""
-    free = ~np.any(coeffs[:, columns] != 0.0, axis=1)
-    return free[0:-1:2] & free[1::2] & free[2::2]
 
 
 def _components(model: HamiltonianModel) -> tuple[np.ndarray, ...]:
@@ -399,104 +399,136 @@ def _lumped(model: HamiltonianModel, levels: np.ndarray,
     return sub, cells
 
 
-def _blocks(model: HamiltonianModel, psi0: np.ndarray) -> list[tuple[HamiltonianModel, list]]:
-    """(lumped model, members) of each ``_Block`` over the blocks with amplitude in psi0.
+class _SharedRun:
+    """A lumped model of a ``_Plan`` and the blocks of levels that share it.
 
-    The blocks of levels (``_components``) are found once per call, and
-    each is lumped on its start columns (``_lumped``). Blocks whose lumped
-    models are equal share one ``_Block``, their columns side by side; each
-    is a member (rows, cells, cols, slot) of it. Every lumped model carries
-    the model's sources in order, so the same cells and bitwise-equal
-    ``terms`` mean equal models. A block holding no amplitude in any column
-    stays exactly zero, so it is left out, and so are the columns it holds
-    none in.
+    ``members`` holds (rows, cells, cols, slot) per block: its levels, their
+    cells, the batch columns it holds amplitude in, and their slice of the
+    (cells, columns) start amplitudes ``start``. ``pick`` reads each level's
+    cell from an array over cells (in place when each cell is one level).
+    When the static part is diagonal, ``diagonal`` is it and ``key`` the
+    drive columns its idle steps are read from; else both are None.
     """
-    shared: dict = {}
-    for rows in _components(model):
-        cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
-        if not cols.size:
-            continue
-        sub, cells = _lumped(model, rows, psi0[np.ix_(rows, cols)])
-        _, members = shared.setdefault((cells.tobytes(), sub.terms.tobytes()), (sub, []))
-        width = sum(taken.size for _, _, taken, _ in members)
-        members.append((rows, cells, cols, slice(width, width + cols.size)))
-    return list(shared.values())
+
+    def __init__(self, model: HamiltonianModel, members: list, psi0: np.ndarray):
+        self.model = model
+        self.members = members
+        cells = members[0][1]
+        count = cells.max() + 1
+        self.pick = slice(None) if count == cells.size else cells
+        # start columns are constant on each cell: read its first level; the
+        # members' slots follow one another
+        firsts = np.unique(cells, return_index=True)[1]
+        self.start = np.concatenate([psi0[np.ix_(rows[firsts], cols)]
+                                     for rows, _, cols, _ in members], axis=1)
+        self.diagonal = self.key = None
+        static = model.static
+        if not (static - np.diag(np.diag(static))).any():
+            self.diagonal = np.diag(static)
+            # the coefficient columns whose matrix is nonzero on these cells
+            self.key = tuple(1 + np.flatnonzero(model.terms[1:].any(axis=1)))
 
 
-def _run_fixed_step(model, psi0: np.ndarray, grid: TimeGrid, found: list[tuple[object, list]]):
-    """RK4 over a (dim, n_states) amplitude block, each ``_Block`` of ``found`` on its own.
+class _Plan:
+    """What a run of the (dim, n_states) batch ``psi0`` does on any grid.
 
-    H(t) never couples two of the model's ``_components``, and within one the
-    amplitudes of one cell stay equal, so each ``_Block`` propagates the
-    common amplitude of each cell of its lumped model, on the columns of
-    every block that shares it, with its own state buffer and maximum
-    populations. The blocks go in lockstep through each chunk, whose size is
-    set by the largest lumped model. A sample or maximum of a level is its
-    cell's, and a column's norm sums the population of every level of every
-    block it spans. The model's coefficients are evaluated once per chunk,
-    at every node, and serve every block. A step is idle for a block when
-    its static part is diagonal and every coefficient acting on it is zero
-    at t, t+h/2 and t+h (``_idle_steps``), computed once per chunk for each
-    set of drive columns; a run of idle steps is its first state times the
-    powers of the idle factor, and the block is not sampled there. A run of
-    driven steps applies its transfer matrices by a blocked prefix scan.
+    Each block of levels (``_components``) is lumped on its start columns
+    (``_lumped``). Blocks with equal lumped models, that is the same cells
+    and bitwise-equal ``terms`` (each carries the model's sources in
+    order), share one ``_SharedRun`` of ``runs``. A block with no amplitude
+    in any column stays exactly zero, so it is left out, and so are the
+    columns it holds none in. ``chunk_steps`` is the most steps a chunk
+    holds, set by the largest lumped model.
+    """
+
+    def __init__(self, model: HamiltonianModel, psi0: np.ndarray):
+        self.model = model
+        self.psi0 = psi0
+        grouped: dict = {}
+        for rows in _components(model):
+            cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
+            if not cols.size:
+                continue
+            sub, cells = _lumped(model, rows, psi0[np.ix_(rows, cols)])
+            _, members = grouped.setdefault((cells.tobytes(), sub.terms.tobytes()), (sub, []))
+            width = sum(taken.size for _, _, taken, _ in members)
+            members.append((rows, cells, cols, slice(width, width + cols.size)))
+        self.runs = [_SharedRun(sub, members, psi0) for sub, members in grouped.values()]
+        largest = max(shared.model.dim for shared in self.runs)
+        self.chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2)
+
+
+def _run_fixed_step(plan: _Plan, grid: TimeGrid):
+    """Samples, norm drift and maximum populations of the plan's batch on ``grid``.
+
+    The shared runs go in lockstep through each chunk, whose coefficients,
+    evaluated once at every node, serve them all. A step is idle for a run
+    with a key when every coefficient in the key is zero at all its nodes,
+    found once per chunk and key: an idle stretch is its first state times
+    the idle factor's powers, unsampled; a driven stretch applies its
+    transfer matrices by a blocked prefix scan. A level's sample or maximum
+    is its cell's; a column's norm sums every level of every block it spans.
     """
     h = grid.step
     n = grid.n_steps
-    t0 = grid.t_start
     sample_idx = grid.sample_indices()
-    dim, width = psi0.shape
-    largest = max(len(sub.basis_labels) for sub, _ in found)
-    chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2, n)
+    dim, width = plan.psi0.shape
+    chunk_steps = min(plan.chunk_steps, n)
 
     samples = np.zeros((sample_idx.size, dim, width), dtype=complex)
-    samples[0] = psi0
-    drift = float(np.max(np.abs(np.sum(np.abs(psi0) ** 2, axis=0) - 1.0)))
+    samples[0] = plan.psi0
+    drift = float(np.max(np.abs(np.sum(np.abs(plan.psi0) ** 2, axis=0) - 1.0)))
 
-    blocks = [_Block(sub, members, psi0, chunk_steps, h) for sub, members in found]
+    # what depends on the step: each run's (chunk + 1, cells, columns) state
+    # buffer, the powers of its idle factor, and its maximum populations
+    lanes = []
+    for shared in plan.runs:
+        out = np.empty((chunk_steps + 1, *shared.start.shape), dtype=complex)
+        out[0] = shared.start
+        powers = (None if shared.diagonal is None
+                  else _rk4_idle_powers(shared.diagonal, h, chunk_steps))
+        lanes.append((shared, out, powers, np.abs(shared.start) ** 2))
     done = 0
     while done < n:
         chunk = min(chunk_steps, n - done)
-        nodes = t0 + h * (done + 0.5 * np.arange(2 * chunk + 1))
-        coeffs = model.coefficients(nodes)
+        nodes = _rk4_nodes(grid.t_start, h, done, chunk)
+        coeffs = plan.model.coefficients(nodes)
         lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
         norms = np.zeros((chunk, width))
         runs = {}
-        for blk in blocks:
-            if blk.key not in runs:
-                idle = (np.zeros(chunk, dtype=bool) if blk.key is None
-                        else _idle_steps(coeffs, blk.key))
+        for shared, out, powers, max_pops in lanes:
+            if shared.key not in runs:
+                idle = (np.zeros(chunk, dtype=bool) if shared.key is None
+                        else _rk4_whole_steps(~np.any(coeffs[:, shared.key] != 0.0, axis=1)))
                 edges = [0, *(np.flatnonzero(np.diff(idle)) + 1).tolist(), chunk]
-                runs[blk.key] = [(a, b, idle[a]) for a, b in zip(edges, edges[1:])]
-            for a, b, idle_run in runs[blk.key]:
+                runs[shared.key] = [(a, b, idle[a]) for a, b in zip(edges, edges[1:])]
+            for a, b, idle_run in runs[shared.key]:
                 if idle_run:
-                    np.multiply(blk.powers[:b - a], blk.out[a], out=blk.out[a + 1:b + 1])
+                    np.multiply(powers[:b - a], out[a], out=out[a + 1:b + 1])
                     continue
-                span = slice(2 * a, 2 * b + 1)
-                stack = blk.model.sample(nodes[span], coeffs[span])
-                stack *= -1j * h
-                _scan(_rk4_transfer(stack), blk.out[a:b + 1])
+                span = _rk4_node_span(a, b)
+                _scan(_rk4_transfer(shared.model.sample(nodes[span], coeffs[span]), h),
+                      out[a:b + 1])
 
-            pops = np.abs(blk.out[1:chunk + 1]) ** 2
-            np.maximum(blk.max_pops, pops.max(axis=0), out=blk.max_pops)
+            pops = np.abs(out[1:chunk + 1]) ** 2
+            np.maximum(max_pops, pops.max(axis=0), out=max_pops)
             # every level counts its cell's population; einsum sums over the
             # levels as sum(axis=1) does, several times faster
-            col_norms = np.einsum("sdw->sw", pops[:, blk.pick])
-            states = blk.out[sample_idx[lo:hi] - done][:, blk.pick]
-            for rows, _, cols, slot in blk.members:
+            col_norms = np.einsum("sdw->sw", pops[:, shared.pick])
+            states = out[sample_idx[lo:hi] - done][:, shared.pick]
+            for rows, _, cols, slot in shared.members:
                 norms[:, cols] += col_norms[:, slot]
                 samples[lo:hi, rows[:, None], cols] = states[:, :, slot]
-            blk.out[0] = blk.out[chunk]
+            out[0] = out[chunk]
         # np.maximum, unlike max(), keeps a NaN drift from an overflowed step
         drift = float(np.maximum(drift, np.max(np.abs(norms - 1.0))))
         done += chunk
 
     max_pops = np.zeros((dim, width))
-    for blk in blocks:
-        for rows, _, cols, slot in blk.members:
-            max_pops[rows[:, None], cols] = blk.max_pops[blk.pick][:, slot]
-    times = t0 + sample_idx * h
-    return times, samples, drift, max_pops
+    for shared, _, _, reached in lanes:
+        for rows, _, cols, slot in shared.members:
+            max_pops[rows[:, None], cols] = reached[shared.pick][:, slot]
+    return samples, drift, max_pops
 
 
 def _unwrap_column(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
@@ -534,8 +566,9 @@ def extract_observables(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]
     return _observables(trajectory.states)
 
 
-def _preflight(hamiltonian, states: list[StateVector]):
-    """Model, shared basis labels and (dim, n_states) amplitude block."""
+def _preflight(hamiltonian, states: list[StateVector]) -> _Plan:
+    """The plan of the states' (dim, n_states) amplitude block, once they share one
+    basis with the model."""
     if not states:
         raise ValueError("need at least one initial state")
     labels = tuple(states[0].basis_labels)
@@ -548,12 +581,13 @@ def _preflight(hamiltonian, states: list[StateVector]):
             f"state basis {labels} does not match the model "
             f"basis {tuple(model.basis_labels)}"
         )
-    return model, labels, np.stack([st.amplitudes for st in states], axis=1)
+    return _Plan(model, np.stack([st.amplitudes for st in states], axis=1))
 
 
 def _trajectories(run, labels: tuple[str, ...], grid: TimeGrid) -> list[Trajectory]:
     """One Trajectory per column of a fixed-step run's amplitude block."""
-    times, samples, drift, max_pops = run
+    samples, drift, max_pops = run
+    times = grid.sample_times()
     trajs = []
     for j in range(samples.shape[2]):
         states = samples[:, :, j]
@@ -587,15 +621,15 @@ def propagate_many(
     the drift is NaN, the result is rejected with an error asking for step
     refinement (use ``converge_many``).
     """
-    model, labels, block = _preflight(hamiltonian, states)
-    run = _run_fixed_step(model, block, grid, _blocks(model, block))
-    drift = run[2]
+    plan = _preflight(hamiltonian, states)
+    run = _run_fixed_step(plan, grid)
+    drift = run[1]
     if check_quality and not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationQualityError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             f"refine the step (current {grid.step:.3e}) or use converge_many()"
         )
-    return _trajectories(run, labels, grid)
+    return _trajectories(run, plan.model.basis_labels, grid)
 
 
 @dataclass(frozen=True)
@@ -611,80 +645,6 @@ class ConvergenceReport:
     halvings: int
     norm_drift: float
     clamped: bool
-
-
-def _stability_step(model, grid: TimeGrid) -> float:
-    """Largest step the ladder may start from, by an infinity-norm scan.
-
-    The scan probes 257 uniform times plus the peak of every drive envelope
-    the model carries, so a pulse narrower than the probe spacing still
-    counts. A clamped step that needs more than ``_MAX_START_STEPS`` steps
-    raises IntegrationQualityError.
-    """
-    peaks = [env.t_on + env.tau for fld in model.fields for env in fld.envelopes]
-    probes = np.concatenate((
-        np.linspace(grid.t_start, grid.t_end, 257),
-        [t for t in peaks if grid.t_start <= t <= grid.t_end],
-    ))
-    stack = model.sample(probes)
-    norm = float(np.max(np.sum(np.abs(stack), axis=2)))
-    if norm == 0.0:
-        return grid.step
-    step = min(grid.step, _STABILITY_FACTOR / norm)
-    if step < grid.step and grid.span / step > _MAX_START_STEPS:
-        raise IntegrationQualityError(
-            f"drive strength |H|_inf = {norm:.3e} needs a starting step of {step:.3e}, "
-            f"{grid.span / step:.3e} steps over the span; the ladder starts at most "
-            f"{_MAX_START_STEPS} steps"
-        )
-    return step
-
-
-def _converge_block(model, block: np.ndarray, grid: TimeGrid, tolerance: float,
-                    max_halvings: int):
-    h0 = _stability_step(model, grid)
-    clamped = h0 < grid.step
-    current = grid.with_step(h0) if clamped else grid
-    # the model and the start columns are the same on every rung
-    found = _blocks(model, block)
-    run = _run_fixed_step(model, block, current, found)
-    steps = [current.step]
-    distances: list[float] = []
-    for _ in range(max_halvings):
-        # a copy, so the coarse rung's samples are freed once the fine run replaces them
-        coarse_final = run[1][-1].copy()
-        current = current.refined()
-        run = _run_fixed_step(model, block, current, found)
-        steps.append(current.step)
-        dist = float(np.max(np.linalg.norm(run[1][-1] - coarse_final, axis=0)))
-        if not math.isfinite(dist):
-            # the first rung is clamped inside RK4's stability region and each rung
-            # halves the step, so a state that is not finite comes from a
-            # Hamiltonian that is not, and no finer rung mends it
-            raise IntegrationQualityError(
-                f"terminal distance {dist} at step {current.step:.3e} is not finite"
-            )
-        distances.append(dist)
-        drift = run[2]
-        if dist <= tolerance and drift <= NORM_DRIFT_LIMIT:
-            report = ConvergenceReport(
-                requested_step=grid.step,
-                initial_step=h0,
-                steps=tuple(steps),
-                distances=tuple(distances),
-                accepted_step=current.step,
-                tolerance=tolerance,
-                halvings=len(distances),
-                norm_drift=drift,
-                clamped=clamped,
-            )
-            return run, current, report
-    raise ConvergenceError(
-        f"terminal states did not converge to {tolerance} within "
-        f"{max_halvings} halvings (distances: "
-        + ", ".join(f"{d:.3e}" for d in distances)
-        + ")"
-    )
 
 
 def converge_many(
@@ -705,6 +665,44 @@ def converge_many(
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")
-    model, labels, block = _preflight(hamiltonian, states)
-    run, used_grid, report = _converge_block(model, block, grid, tolerance, max_halvings)
-    return _trajectories(run, labels, used_grid), report
+    plan = _preflight(hamiltonian, states)
+    h0 = _rk4_start_step(plan.model, grid)
+    clamped = h0 < grid.step
+    current = TimeGrid(grid.t_start, grid.t_end, h0, grid.sample_stride) if clamped else grid
+    run = _run_fixed_step(plan, current)
+    steps = [current.step]
+    distances: list[float] = []
+    for _ in range(max_halvings):
+        # a copy, so the coarse rung's samples are freed once the fine run replaces them
+        coarse_final = run[0][-1].copy()
+        current = current.refined()
+        run = _run_fixed_step(plan, current)
+        steps.append(current.step)
+        dist = float(np.max(np.linalg.norm(run[0][-1] - coarse_final, axis=0)))
+        if not math.isfinite(dist):
+            # the first rung is clamped inside RK4's stability region and each rung
+            # halves the step, so a state that is not finite comes from a
+            # Hamiltonian that is not, and no finer rung mends it
+            raise IntegrationQualityError(
+                f"terminal distance {dist} at step {current.step:.3e} is not finite"
+            )
+        distances.append(dist)
+        drift = run[1]
+        if dist <= tolerance and drift <= NORM_DRIFT_LIMIT:
+            return _trajectories(run, plan.model.basis_labels, current), ConvergenceReport(
+                requested_step=grid.step,
+                initial_step=h0,
+                steps=tuple(steps),
+                distances=tuple(distances),
+                accepted_step=current.step,
+                tolerance=tolerance,
+                halvings=len(distances),
+                norm_drift=drift,
+                clamped=clamped,
+            )
+    raise ConvergenceError(
+        f"terminal states did not converge to {tolerance} within "
+        f"{max_halvings} halvings (distances: "
+        + ", ".join(f"{d:.3e}" for d in distances)
+        + ")"
+    )

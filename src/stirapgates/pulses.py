@@ -26,6 +26,13 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not a positive finite number."""
+    for name, value in values.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PulseEnvelope:
     """Single smooth pulse: omega_max * sin^2(pi (t - t_on) / (2 tau)).
@@ -238,8 +245,7 @@ class MixingProfile:
         peak_pump: float = 1.0,
         peak_stokes: float = 1.0,
     ) -> None:
-        if not (peak_pump > 0.0 and peak_stokes > 0.0):
-            raise ValueError("peak amplitudes must be positive")
+        _require_positive(peak_pump=peak_pump, peak_stokes=peak_stokes)
         self.schedule = schedule
         self._pump = schedule.drive("pump", "pump", peak_pump)
         self._stokes = schedule.drive("stokes", "stokes", peak_stokes)

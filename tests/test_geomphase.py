@@ -11,6 +11,7 @@ from stirapgates import (
     DriveField,
     HamiltonianModel,
     LambdaSystem,
+    MixingProfile,
     PhaseRamp,
     StirapSchedule,
     TimeGrid,
@@ -268,29 +269,6 @@ def test_decoupled_states_have_no_angular_connection():
         assert np.max(np.abs(centered)) / 2e-2 < 1e-12
 
 
-def test_fully_transferred_pair_winds_at_the_shift_rate():
-    shift = 0.3
-    horizon = 4.0
-    res = wz_propagate(
-        lambda t: math.pi / 2.0,
-        shift,
-        t_start=0.0,
-        t_end=horizon,
-        base_step=0.01,
-    )
-    assert res.geometric_phase == pytest.approx(-shift * horizon, abs=1e-8)
-    assert res.max_mixing < 1e-20
-    assert abs(np.linalg.norm(res.final_amplitudes) - 1.0) < 1e-10
-
-
-def test_untransferred_pair_collects_nothing():
-    res = wz_propagate(
-        lambda t: 0.0, 0.3, t_start=0.0, t_end=4.0, base_step=0.01
-    )
-    assert res.geometric_phase == pytest.approx(0.0, abs=1e-10)
-    assert res.max_mixing < 1e-20
-
-
 def test_schedule_transport_matches_the_weight_quadrature():
     """In the perturbative regime the pair phase is the squared-weight integral."""
     shift = 0.02
@@ -311,17 +289,44 @@ def test_pair_norm_is_preserved_by_the_transport_law():
     assert abs(np.linalg.norm(res.final_amplitudes) - 1.0) < 1e-10
 
 
-def test_two_qubit_phase_accepts_a_bare_angle_profile():
-    shift = 0.4
-    horizon = 3.0
-    full = two_qubit_phase(
-        lambda t: math.pi / 2.0, shift, t_start=0.0, t_end=horizon
-    )
-    nothing = two_qubit_phase(lambda t: 0.0, shift, t_start=0.0, t_end=horizon)
-    assert full.value == pytest.approx(-shift * horizon, abs=1e-10)
-    assert nothing.value == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="t_start"):
-        two_qubit_phase(lambda t: 0.0, shift)
+_SCHEDULE = StirapSchedule(2.0, 0.8, 8.0)
+_RAMP = PhaseRamp(kind="linear", slope=0.3)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda bad: two_qubit_phase(_SCHEDULE, bad, peak_1=120.0, peak_2=120.0),
+                 "interaction_shift", id="two_qubit_phase-interaction_shift"),
+    pytest.param(lambda bad: two_qubit_phase(_SCHEDULE, 0.1, peak_1=bad), "peak_1",
+                 id="two_qubit_phase-peak_1"),
+    pytest.param(lambda bad: two_qubit_phase(_SCHEDULE, 0.1, peak_2=bad), "peak_2",
+                 id="two_qubit_phase-peak_2"),
+    pytest.param(lambda bad: wz_propagate(_SCHEDULE, bad), "interaction_shift",
+                 id="wz_propagate-interaction_shift"),
+    pytest.param(lambda bad: wz_propagate(_SCHEDULE, 0.1, peak_1=bad), "peak_1",
+                 id="wz_propagate-peak_1"),
+    pytest.param(lambda bad: wz_propagate(_SCHEDULE, 0.1, peak_2=bad), "peak_2",
+                 id="wz_propagate-peak_2"),
+    pytest.param(lambda bad: mixing_integral(_SCHEDULE, peak_pump=bad), "peak_pump",
+                 id="mixing_integral-peak_pump"),
+    pytest.param(lambda bad: mixing_integral(_SCHEDULE, peak_stokes=bad), "peak_stokes",
+                 id="mixing_integral-peak_stokes"),
+    pytest.param(lambda bad: berry_phase_numeric(_SCHEDULE, _RAMP, peak_pump=bad), "peak_pump",
+                 id="berry_phase_numeric-peak_pump"),
+    pytest.param(lambda bad: berry_phase_numeric(_SCHEDULE, _RAMP, peak_stokes=bad),
+                 "peak_stokes", id="berry_phase_numeric-peak_stokes"),
+    pytest.param(lambda bad: ramp_weight_deficit(_SCHEDULE, peak_1=bad), "peak_1",
+                 id="ramp_weight_deficit-peak_1"),
+    pytest.param(lambda bad: ramp_weight_deficit(_SCHEDULE, peak_2=bad), "peak_2",
+                 id="ramp_weight_deficit-peak_2"),
+    pytest.param(lambda bad: MixingProfile(_SCHEDULE, peak_pump=bad), "peak_pump",
+                 id="MixingProfile-peak_pump"),
+    pytest.param(lambda bad: MixingProfile(_SCHEDULE, peak_stokes=bad), "peak_stokes",
+                 id="MixingProfile-peak_stokes"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entry_points_refuse_non_finite_input_by_name(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(bad)
 
 
 def test_calibration_hits_the_mixing_target():

@@ -40,12 +40,12 @@ from stirapgates.propagator import (
     _CHUNK_STEPS,
     _SCAN_STEPS,
     _SMALL_DIM,
-    _Block,
-    _blocks,
     _components,
-    _idle_steps,
     _lumped,
+    _Plan,
+    _rk4_idle_powers,
     _rk4_transfer,
+    _rk4_whole_steps,
     _run_fixed_step,
 )
 
@@ -428,6 +428,11 @@ def _hold_cases():
     }
 
 
+def _idle_steps(coeffs: np.ndarray, columns) -> np.ndarray:
+    """Steps whose every node has every coefficient in ``columns`` exactly zero."""
+    return _rk4_whole_steps(~np.any(coeffs[:, columns] != 0.0, axis=1))
+
+
 def test_idle_steps_mark_the_hold_and_blocks_read_the_static_diagonal():
     sched = build_schedule(1.0, 0.5, 4.0)
     pump, stokes = sequence_fields(sched, 2.0, 5.0, "q", "s")
@@ -441,19 +446,20 @@ def test_idle_steps_mark_the_hold_and_blocks_read_the_static_diagonal():
     # the lambda block's idle powers come from the static diagonal
     h, steps = 0.05, 4
     start = np.eye(3, dtype=complex)[:, :1]
-    ((sub, members),) = _blocks(model, start)
-    blk = _Block(sub, members, start, steps, h)
-    assert np.array_equal(np.diag(blk.model.static), [0.0, -0.3, 0.0])
-    assert blk.key == (1, 2, 3, 4)
+    (shared,) = _Plan(model, start).runs
+    assert np.array_equal(np.diag(shared.model.static), [0.0, -0.3, 0.0])
+    assert np.array_equal(shared.diagonal, [0.0, -0.3, 0.0])
+    assert shared.key == (1, 2, 3, 4)
     z = -1j * h * np.array([0.0, -0.3, 0.0])
     factor = sum(z**k / math.factorial(k) for k in range(5))
     expected = factor ** np.arange(1, steps + 1)[:, None]
-    assert np.allclose(blk.powers[:, :, 0], expected, rtol=0.0, atol=1e-15)
+    powers = _rk4_idle_powers(shared.diagonal, h, steps)
+    assert np.allclose(powers[:, :, 0], expected, rtol=0.0, atol=1e-15)
     # an off-diagonal static part has no diagonal, so its block has no idle steps
     constant = HamiltonianModel(LAMBDA_LABELS, lambda_hamiltonian(1.0, 1.0).matrix, [])
     assert _idle_steps(constant.coefficients(nodes), ()).all()
-    ((sub, members),) = _blocks(constant, start)
-    assert _Block(sub, members, start, steps, h).key is None
+    (shared,) = _Plan(constant, start).runs
+    assert shared.key is None and shared.diagonal is None
 
 
 def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
@@ -731,6 +737,35 @@ def test_the_gate_starts_01_and_10_share_one_run(monkeypatch):
     assert sampled == {("01", "02", "0e"), ("11", "12", "1e", "22", "2e", "ee")}
 
 
+# The pair from 11 lumps to 6 cells and chunks of 910 steps; the split tripod's
+# largest block has 3 levels and chunks of 1024. Grids of up to 2100 steps of
+# 1e-3 cross those edges and start or end before, inside or after the hold.
+_STRIDE_CASES = {"pair": _paper_pair_case()[:2], "tripod": _split_tripod_case()[:2]}
+
+
+@PROPERTIES
+@given(case=st.sampled_from(sorted(_STRIDE_CASES)), t_start=st.floats(-0.1, 1.3),
+       steps=st.integers(1, 2100), stride=st.integers(1, 13))
+@example(case="pair", t_start=-0.1, steps=1821, stride=7)
+@example(case="tripod", t_start=0.3, steps=2049, stride=13)
+def test_the_stride_only_picks_which_samples_are_kept(case, t_start, steps, stride):
+    """A stride-s run is the stride-1 run at its sample indices, bit for bit, with
+    the same maximum populations and norm drift over every step."""
+    model, starts = _STRIDE_CASES[case]
+    grid = TimeGrid(t_start, t_start + 1e-3 * steps, 1e-3, sample_stride=stride)
+    every = TimeGrid(grid.t_start, grid.t_end, grid.base_step)
+    idx = grid.sample_indices()
+    strided = propagate_many(model, starts, grid, check_quality=False)
+    dense = propagate_many(model, starts, every, check_quality=False)
+    for kept, full in zip(strided, dense, strict=True):
+        assert np.array_equal(kept.times, full.times[idx])
+        assert np.array_equal(kept.states, full.states[idx])
+        assert np.array_equal(kept.populations, full.populations[idx])
+        assert np.array_equal(np.isnan(kept.phases), np.isnan(full.phases[idx]))
+        assert np.array_equal(kept.max_populations, full.max_populations)
+        assert kept.norm_drift == full.norm_drift
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(dim=st.integers(1, _SMALL_DIM), steps=st.integers(1, 700),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1.0))
@@ -743,12 +778,14 @@ def test_elementwise_transfer_matches_the_matmul_form(dim, steps, seed, scale):
     rng = np.random.default_rng(seed)
     shape = (2 * steps + 1, dim, dim)
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    stack *= 0.8 * scale / np.max(np.sum(np.abs(stack), axis=2))
-    a0, a1, a2 = stack[0:-1:2], stack[1::2], stack[2::2]
+    # _rk4_transfer scales its stack of H by -i h in place
+    h = 0.25
+    stack *= 0.8 * scale / (h * np.max(np.sum(np.abs(stack), axis=2)))
+    a0, a1, a2 = (a * (-1j * h) for a in (stack[0:-1:2], stack[1::2], stack[2::2]))
     k2 = a1 + 0.5 * (a1 @ a0)
     k3 = a1 + 0.5 * (a1 @ k2)
     expected = np.eye(dim) + (a0 + 2.0 * (k2 + k3) + a2 + a2 @ k3) / 6.0
-    assert np.max(np.abs(_rk4_transfer(stack) - expected)) <= 1e-15
+    assert np.max(np.abs(_rk4_transfer(stack.copy(), h) - expected)) <= 1e-15
 
 
 def _record_samples(monkeypatch) -> list[tuple[tuple[str, ...], np.ndarray]]:
@@ -814,11 +851,11 @@ def test_idle_steps_are_not_sampled(monkeypatch):
     calls = _record_samples(monkeypatch)
     masks = []
 
-    def counting_idle(coeffs, columns):
-        masks.append(len(coeffs))
-        return _idle_steps(coeffs, columns)
+    def counting_idle(at_nodes):
+        masks.append(len(at_nodes))
+        return _rk4_whole_steps(at_nodes)
 
-    monkeypatch.setattr("stirapgates.propagator._idle_steps", counting_idle)
+    monkeypatch.setattr("stirapgates.propagator._rk4_whole_steps", counting_idle)
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
     for a, b in zip(counted, plain):
@@ -974,9 +1011,9 @@ def test_converge_stops_at_the_first_non_finite_distance(monkeypatch):
     """A NaN never converges, so the ladder stops after its first two rungs."""
     runs = []
 
-    def counting(*args):
-        runs.append(args[2].step)
-        return _run_fixed_step(*args)
+    def counting(plan, grid):
+        runs.append(grid.step)
+        return _run_fixed_step(plan, grid)
 
     monkeypatch.setattr("stirapgates.propagator._run_fixed_step", counting)
     model = HamiltonianModel(LABELS2, SIGMA_X + np.diag([0.0, math.nan]), [])
@@ -986,6 +1023,31 @@ def test_converge_stops_at_the_first_non_finite_distance(monkeypatch):
     assert exc.type is IntegrationQualityError
     assert str(exc.value) == f"terminal distance nan at step {runs[-1]:.3e} is not finite"
     assert len(runs) == 2
+
+
+def test_the_plan_is_built_once_per_call_and_per_ladder(monkeypatch):
+    """Every rung of a ladder runs on one plan, however many rungs it takes."""
+    built = []
+
+    class CountingPlan(_Plan):
+        def __init__(self, model, psi0):
+            built.append(model)
+            super().__init__(model, psi0)
+
+    monkeypatch.setattr("stirapgates.propagator._Plan", CountingPlan)
+    ham = 2.0 * SIGMA_X + np.diag([0.0, 0.5]).astype(complex)
+    grid = TimeGrid(0.0, 3.0, 0.2, sample_stride=10)
+    starts = [basis_state(LABELS2, "0"), basis_state(LABELS2, "1")]
+    rungs = set()
+    for tolerance in (1e-3, 1e-7, 1e-11):
+        built.clear()
+        _, report = converge_many(ham, starts, grid, tolerance=tolerance)
+        rungs.add(len(report.steps))
+        assert len(built) == 1
+    assert len(rungs) == 3
+    built.clear()
+    propagate_many(ham, starts, grid, check_quality=False)
+    assert len(built) == 1
 
 
 def test_converge_many_shares_one_ladder():
