@@ -20,7 +20,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
@@ -213,10 +214,18 @@ class ExperimentConfig:
 # any other field its config sets, and records only these. A sweep reads what
 # its rows read (gate with a gate section, else simulate) and the sweep section.
 _READS = {
-    "simulate": ("system", "schedule", "drives", "grid", "output_dir"),
-    "gate": ("system.kind", "system.detuning", "system.interaction_shift", "schedule", "gate",
+    "simulate": ("system.kind", "system.detuning", "system.interaction_shift",
+                 "system.initial_state", "schedule", "drives", "grid", "output_dir"),
+    "gate": ("system.kind", "system.detuning", "system.interaction_shift", "schedule",
+             "gate.kind", "gate.target_phase", "gate.peak_rabi", "gate.margin",
              "grid.base_step", "grid.tolerance", "output_dir"),
     "phase": ("system.kind", "system.interaction_shift", "schedule", "drives", "output_dir"),
+}
+# Fields of _READS that only runs of these system or gate kinds read
+_KIND_READS = {
+    "system.interaction_shift": {"two_atom"},
+    "gate.target_phase": {"phase", "controlled_phase"},
+    "gate.margin": {"controlled_phase"},
 }
 
 
@@ -253,33 +262,24 @@ def _section_list(cls, raw, path: str, required: bool) -> tuple:
     return tuple(_section(cls, item, f"{path}.{i}") for i, item in enumerate(raw))
 
 
-def _names_scalar(cfg: ExperimentConfig, dotted: str) -> bool:
-    """Whether ``dotted`` names a scalar field of ``cfg``; list entries need an index."""
-    cls, node = ExperimentConfig, cfg
-    parts = dotted.split(".")
-    while parts:
-        spec = {f.name: f for f in fields(cls)}.get(parts.pop(0))
-        if spec is None:
+def _names_scalar(tree: dict, dotted: str) -> bool:
+    """Whether ``dotted`` leads through the mapping ``tree`` to a scalar; list entries
+    need an index."""
+    node = tree
+    for part in dotted.split("."):
+        try:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        except (IndexError, KeyError, TypeError, ValueError):
             return False
-        node = getattr(node, spec.name)
-        if "parse" in spec.metadata:
-            return not parts
-        if node is None:  # an optional section this config leaves out
-            return False
-        cls = spec.metadata["section"]
-        if spec.metadata["many"]:
-            try:
-                node = node[int(parts.pop(0))]
-            except (IndexError, ValueError):
-                return False
-    return False
+    return not isinstance(node, (dict, list))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into a typed configuration."""
     cfg = _section(ExperimentConfig, raw, "")
+    tree = config_to_dict(cfg) if cfg.sweep_axes else {}
     for i, axis in enumerate(cfg.sweep_axes):
-        if not _names_scalar(cfg, axis.parameter):
+        if not _names_scalar(tree, axis.parameter):
             raise ConfigError(
                 f"sweep.axes.{i}.parameter: {axis.parameter!r} names no scalar field of this config"
             )
@@ -314,13 +314,20 @@ def _sets(value) -> bool:
 
 def _command_reads(command: str, cfg: ExperimentConfig) -> tuple[str, tuple[str, ...]]:
     """The label of the run and the fields it reads; a sweep axis must be one of them."""
+    rows = command if command != "sweep" else "simulate" if cfg.gate is None else "gate"
+    if rows == "gate" and cfg.gate is not None:
+        # a gate runs on the system of its kind, whatever system.kind says
+        kinds, run = {cfg.gate.kind, _GATE_SYSTEMS[cfg.gate.kind]}, f"{cfg.gate.kind} gate"
+    else:
+        kinds, run = {cfg.system.kind}, f"{cfg.system.kind} {rows}"
+    reads = tuple(read for read in _READS[rows]
+                  if read not in _KIND_READS or _KIND_READS[read] & kinds)
     if command != "sweep":
-        return command, _READS[command]
-    rows = "simulate" if cfg.gate is None else "gate"
+        return run, reads
     for i, axis in enumerate(cfg.sweep_axes):
-        if not any((axis.parameter + ".").startswith(read + ".") for read in _READS[rows]):
-            raise ConfigError(f"sweep.axes.{i}.parameter: a {rows} run does not read it")
-    return f"{rows} sweep", (*_READS[rows], "sweep")
+        if not any((axis.parameter + ".").startswith(read + ".") for read in reads):
+            raise ConfigError(f"sweep.axes.{i}.parameter: a {run} run does not read it")
+    return f"{run} sweep", (*reads, "sweep")
 
 
 def _read_part(node: dict, reads: tuple[str, ...], refuse: str = "", prefix: str = "") -> dict:
@@ -398,11 +405,21 @@ def apply_override(raw: dict, assignment: str) -> None:
 # Building runtime objects
 
 
-def _build_schedule(cfg: ScheduleConfig) -> StirapSchedule:
+@contextmanager
+def _under(path: str, *errors: type[Exception]):
+    """Report a library ValueError (or one of ``errors``) raised inside as a
+    ConfigError under the config ``path``; a ConfigError passes through."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, *errors) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build_schedule(cfg: ScheduleConfig) -> StirapSchedule:
+    with _under("schedule"):
         return StirapSchedule(cfg.tau, cfg.pulse_delay, cfg.sequence_delay, cfg.t_start)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
 
 
 def _build_ramp(drive: DriveConfig) -> PhaseRamp:
@@ -412,10 +429,8 @@ def _build_ramp(drive: DriveConfig) -> PhaseRamp:
 
 
 def _build_field(schedule: StirapSchedule, drive: DriveConfig, index: int) -> DriveField:
-    try:
+    with _under(f"drives.{index}"):
         return schedule.drive(drive.level, drive.role, drive.peak_rabi, _build_ramp(drive))
-    except ValueError as exc:
-        raise ConfigError(f"drives.{index}: {exc}") from exc
 
 
 def _build_model(cfg: ExperimentConfig, schedule: StirapSchedule):
@@ -424,7 +439,7 @@ def _build_model(cfg: ExperimentConfig, schedule: StirapSchedule):
     if len(by_level) != len(fields):
         raise ConfigError("drives: at most one drive per level")
     kind = cfg.system.kind
-    try:
+    with _under("system"):
         if kind == "lambda":
             if set(by_level) != {"q", "s"}:
                 raise ConfigError(
@@ -442,16 +457,12 @@ def _build_model(cfg: ExperimentConfig, schedule: StirapSchedule):
                 interaction_shift=cfg.system.interaction_shift,
             )
         return system.model()
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
 
 
 def _build_grid(cfg: ExperimentConfig, schedule: StirapSchedule) -> TimeGrid:
     grid = cfg.grid
-    try:
+    with _under("grid"):
         return schedule_grid(schedule, grid.base_step, grid.sample_stride, grid.t_end)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _trajectory_setup(cfg: ExperimentConfig):
@@ -469,13 +480,11 @@ def _trajectory_setup(cfg: ExperimentConfig):
 
 def _run_trajectory(cfg: ExperimentConfig):
     model, state, grid = _trajectory_setup(cfg)
-    try:
+    # a grid with more steps than numpy can index fails here, before it allocates
+    with _under("grid", OverflowError):
         if cfg.grid.tolerance is None:
             return propagate_many(model, [state], grid)[0], None
         (traj,), report = converge_many(model, [state], grid, tolerance=cfg.grid.tolerance)
-    except (ValueError, OverflowError) as exc:
-        # a grid with more steps than numpy can index fails here, before it allocates
-        raise ConfigError(f"grid: {exc}") from exc
     return traj, report
 
 
@@ -504,14 +513,12 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
 
 def _run_gate(cfg: ExperimentConfig) -> GateReport:
     spec = _gate_spec(cfg)
-    try:
+    with _under("gate"):
         if cfg.gate.kind == "phase":
             return run_phase_gate(spec, cfg.gate.target_phase)
         if cfg.gate.kind == "hadamard":
             return run_hadamard(spec)
         return run_controlled_phase(spec, cfg.gate.target_phase, margin=cfg.gate.margin)
-    except ValueError as exc:
-        raise ConfigError(f"gate: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +542,12 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return {"real": _plain(obj.real), "imag": _plain(obj.imag)}
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return None if math.isnan(v) else v
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"real": obj.real, "imag": obj.imag}
     return obj
 
 
@@ -621,23 +626,6 @@ def _summary_payload(traj, report) -> dict:
     }
 
 
-def _gate_payload(report: GateReport) -> dict:
-    return {
-        "kind": report.kind,
-        "qubit_labels": list(report.qubit_labels),
-        "unitary": {"real": report.unitary.real, "imag": report.unitary.imag},
-        "target": {"real": report.target.real, "imag": report.target.imag},
-        "fidelity": report.fidelity,
-        "leakage": report.leakage,
-        "phase": report.phase,
-        "predicted_phase": report.predicted_phase,
-        "max_excited_population": report.max_excited_population,
-        "schedule": asdict(report.schedule),
-        "convergence": asdict(report.convergence),
-        "note": report.note,
-    }
-
-
 def cmd_simulate(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     traj, report = _run_trajectory(cfg)
     _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -658,7 +646,7 @@ def cmd_simulate(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[
 
 def cmd_gate(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     report = _run_gate(cfg)
-    _write_json(os.path.join(out_dir, "gate.json"), _gate_payload(report))
+    _write_json(os.path.join(out_dir, "gate.json"), asdict(report))
     print(
         f"gate {report.kind}: fidelity {report.fidelity:.6f}, "
         f"leakage {report.leakage:.3e} -> {out_dir}"
@@ -670,7 +658,7 @@ def cmd_gate(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list
     return ["gate.json"], 0
 
 
-# gate.json fields that a gate sweep tabulates
+# GateReport fields that a gate sweep tabulates
 _GATE_SWEEP_FIELDS = ("fidelity", "phase", "predicted_phase", "leakage", "max_excited_population")
 
 
@@ -696,8 +684,8 @@ def _sweep_point(payload: tuple[dict, list[tuple[str, float]]]) -> dict:
             apply_override(raw, f"{path}={value!r}")
         cfg = parse_config(raw)
         if cfg.gate is not None:
-            gate = _gate_payload(_run_gate(cfg))
-            row.update((name, gate[name]) for name in _GATE_SWEEP_FIELDS)
+            report = _run_gate(cfg)
+            row.update((name, getattr(report, name)) for name in _GATE_SWEEP_FIELDS)
         else:
             summary = _summary_payload(*_run_trajectory(cfg))
             for lb in summary["basis"]:
@@ -755,7 +743,9 @@ def cmd_sweep(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
 
 def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[list[str], int]:
     """Drives are picked by role, for every system kind: the one stokes drive,
-    and the pump drives, whose combined peak is the hypot of their peaks."""
+    and the pump drives, whose combined peak is the hypot of their peaks. Only
+    the relative phase of the drives winds the transport phase, so the stokes
+    ramp is taken relative to the pump ramp, which all pumps must share."""
     schedule = _build_schedule(cfg.schedule)
     kind = cfg.system.kind
     shift = cfg.system.interaction_shift
@@ -770,19 +760,25 @@ def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
             f"pump drive, got {roles.count('stokes')} and {roles.count('pump')}"
         )
     # built as simulate builds them, so a drive is refused by the same path
-    fields = [_build_field(schedule, d, i) for i, d in enumerate(cfg.drives)]
-    (stokes,) = [f for f, role in zip(fields, roles) if role == "stokes"]
-    peak_stokes = stokes.envelopes[0].omega_max
-    peak_pump = math.hypot(*[f.envelopes[0].omega_max
-                             for f, role in zip(fields, roles) if role == "pump"])
+    for i, drive in enumerate(cfg.drives):
+        _build_field(schedule, drive, i)
+    (stokes,) = [d for d in cfg.drives if d.role == "stokes"]
+    pumps = [d for d in cfg.drives if d.role == "pump"]
+    peak_stokes = stokes.peak_rabi
+    peak_pump = math.hypot(*[d.peak_rabi for d in pumps])
     if peak_pump == 0.0 or peak_stokes == 0.0:
         raise ConfigError("drives: the phase command needs a positive stokes peak and "
                           "a positive combined pump peak")
+    pump_slopes = {d.phase_slope for d in pumps}
+    if len(pump_slopes) != 1:
+        raise ConfigError("drives: the pump drives need one common phase_slope, got "
+                          f"{sorted(pump_slopes)}")
+    relative = _build_ramp(replace(stokes, phase_slope=stokes.phase_slope - pump_slopes.pop()))
     if kind != "two_atom":
         est = berry_phase_numeric(
-            schedule, stokes.phase, peak_pump=peak_pump, peak_stokes=peak_stokes
+            schedule, relative, peak_pump=peak_pump, peak_stokes=peak_stokes
         )
-        closed = berry_phase_closed_form(schedule, stokes.phase)
+        closed = berry_phase_closed_form(schedule, relative)
         payload = {
             "kind": kind,
             "numeric": est.value,

@@ -62,15 +62,12 @@ def schedule_grid(
     sample_stride: int,
     t_end: float | None = None,
 ) -> TimeGrid:
-    """Starting grid over the schedule, by default its whole pulse support.
-
-    The default step, tau/200, resolves the pulse shape; the convergence
-    ladder owns accuracy, this is only its starting rung.
-    """
+    """Starting grid over the schedule, by default its whole pulse support at
+    the schedule's default step."""
     return TimeGrid(
         t_start=schedule.t_start,
         t_end=schedule.support_end if t_end is None else t_end,
-        base_step=schedule.tau / 200.0 if base_step is None else base_step,
+        base_step=schedule.default_step if base_step is None else base_step,
         sample_stride=sample_stride,
     )
 

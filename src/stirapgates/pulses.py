@@ -15,6 +15,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 RAMP_KINDS = ("constant", "linear")
+# The float spacing at the end of a schedule's pulse support may be at most this
+# fraction of its default step, so that the finest rung of a ten-halving ladder
+# started there still spans a whole spacing
+_MAX_END_SPACING = 2.0**-10
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -164,9 +168,19 @@ class StirapSchedule:
             raise ValueError(
                 "sequence_delay must exceed 2 tau + pulse_delay so the sequences do not overlap"
             )
-        if not self.support_end > self.t_start:
-            raise ValueError(f"t_start {self.t_start!r} is so large that the pulse support "
-                             "rounds away in floating point")
+        spacing = math.ulp(self.support_end)
+        if not spacing <= _MAX_END_SPACING * self.default_step:
+            raise ValueError(
+                f"t_start {self.t_start!r} puts the end of the pulse support where floats are "
+                f"{spacing:.3g} apart, more than 2**-10 of the default step tau/200 = "
+                f"{self.default_step:.3g}, so the pulse timing rounds away in floating point"
+            )
+
+    @property
+    def default_step(self) -> float:
+        """The step a ladder over this schedule starts from unless told otherwise;
+        it resolves the pulse shape, and the ladder owns accuracy."""
+        return self.tau / 200.0
 
     @property
     def stokes_onsets(self) -> tuple[float, float]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
+from stirapgates import gates
 from stirapgates.cli import (
     _CSV_BLOCK_ROWS,
     ConfigError,
@@ -27,6 +28,8 @@ from stirapgates.cli import (
     main,
     parse_config,
 )
+from stirapgates.gates import GateReport
+from stirapgates.qcore import principal_angle
 
 PHASE_TARGET = -math.pi / 2.0
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -192,7 +195,9 @@ def test_parse_accepts_integral_floats_as_integers():
 
 def test_sweep_axis_must_name_a_scalar_config_field(tmp_path, capsys):
     raw = simulate_raw()
-    bad = ("schedule.tua", "schedule", "drives.peak_rabi", "drives.2.peak_rabi", "gate.peak_rabi")
+    # output_dir is unset here, so there is nothing to sweep
+    bad = ("schedule.tua", "schedule", "drives.peak_rabi", "drives.2.peak_rabi", "gate.peak_rabi",
+           "output_dir")
     for parameter in bad:
         raw["sweep"] = {"axes": [{"parameter": parameter, "start": 1, "stop": 2, "points": 2}]}
         with pytest.raises(ConfigError, match=r"sweep\.axes\.0\.parameter: .*no scalar"):
@@ -354,18 +359,9 @@ def test_manifest_hashes_are_real(tmp_path):
     for name, digest in manifest["outputs"].items():
         actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert actual == digest, name
-    canonical = config_to_dict(parse_config(load_config(str(out / "resolved_config.yaml"))))
-
-    def scrub(obj):
-        if isinstance(obj, dict):
-            return {k: scrub(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [scrub(v) for v in obj]
-        return obj
-
-    recomputed = hashlib.sha256(
-        json.dumps(scrub(canonical), sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    # the hash covers what the resolved config records: the fields the run read
+    recorded = load_config(str(out / "resolved_config.yaml"))
+    recomputed = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode("utf-8")).hexdigest()
     assert recomputed == manifest["config_sha256"]
 
 
@@ -402,6 +398,15 @@ def test_gate_run_reports_quality(tmp_path):
     assert abs(payload["phase"] - PHASE_TARGET) < 2e-3
     assert payload["unitary"]["real"][0][0] == 1.0
     assert payload["schedule"]["sequence_delay"] == 4.0
+
+
+def test_gate_json_is_the_gate_report(tmp_path):
+    """Every field of GateReport, and nothing else; complex arrays as real/imag parts."""
+    out = tmp_path / "run"
+    assert main(["gate", "--config", write_config(tmp_path, gate_raw()), "--out", str(out)]) == 0
+    payload = json.loads((out / "gate.json").read_text())
+    assert sorted(payload) == sorted(f.name for f in dataclasses.fields(GateReport))
+    assert sorted(payload["unitary"]) == sorted(payload["target"]) == ["imag", "real"]
 
 
 def test_gate_run_rejects_grid_settings_it_cannot_honour(tmp_path, capsys):
@@ -681,6 +686,19 @@ def test_only_sweep_takes_a_worker_count(tmp_path, capsys):
     ("sweep", "pulse_area_sweep", ["sweep.axes.0.parameter=grid.sample_stride",
                                    "sweep.axes.0.start=4", "sweep.axes.0.stop=8"],
      "sweep.axes.0.parameter"),
+    # fields that only some kinds read
+    ("gate", "hadamard_gate", ["gate.target_phase=1.0"], "gate.target_phase"),
+    ("gate", "hadamard_gate", ["gate.margin=3"], "gate.margin"),
+    ("gate", "hadamard_gate", ["system.interaction_shift=0.7"], "system.interaction_shift"),
+    ("gate", "phase_gate", ["gate.margin=3"], "gate.margin"),
+    ("gate", "phase_gate", ["system.interaction_shift=0.7"], "system.interaction_shift"),
+    ("simulate", "dark_transport", ["system.interaction_shift=0.7"], "system.interaction_shift"),
+    ("phase", "ramp_phase_prediction", ["system.interaction_shift=0.7"],
+     "system.interaction_shift"),
+    ("sweep", "pulse_area_sweep", ["sweep.axes.0.parameter=system.interaction_shift"],
+     "sweep.axes.0.parameter"),
+    ("sweep", "pulse_area_sweep", ["sweep.axes.0.parameter=gate.margin"],
+     "sweep.axes.0.parameter"),
 ])
 def test_a_run_refuses_a_field_its_command_does_not_read(
         tmp_path, capsys, command, config, assignments, path):
@@ -701,7 +719,7 @@ def test_a_phase_run_records_only_the_fields_it_read(tmp_path):
     assert main(["phase", "--config", config, "--out", str(first)]) == 0
     resolved = load_config(str(first / "resolved_config.yaml"))
     assert sorted(resolved) == ["drives", "schedule", "system"]
-    assert sorted(resolved["system"]) == ["interaction_shift", "kind"]
+    assert sorted(resolved["system"]) == ["kind"]
     assert main(["phase", "--config", str(first / "resolved_config.yaml"),
                  "--out", str(second)]) == 0
     for name in ("phase.json", "resolved_config.yaml"):
@@ -745,6 +763,35 @@ def test_phase_prediction_for_the_three_level_chain(tmp_path):
     assert abs(payload["difference"]) < 1e-8
 
 
+@pytest.mark.parametrize("pump_slope", [0.0, 0.5, 1.0])
+def test_phase_prediction_follows_the_relative_drive_ramp(tmp_path, pump_slope):
+    """A pump ramp winds the relative phase back, so the prediction matches the
+    terminal phase of q that simulate propagates, mod 2 pi, within 0.01."""
+    ramp = f"drives.0.phase_slope={pump_slope}"
+    assert main(["phase", "--config", str(REPO / "configs" / "ramp_phase_prediction.yaml"),
+                 "--out", str(tmp_path / "phase"), "--set", ramp]) == 0
+    assert main(["simulate", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+                 "--out", str(tmp_path / "simulate"), "--set", ramp]) == 0
+    predicted = json.loads((tmp_path / "phase" / "phase.json").read_text())["closed_form"]
+    assert predicted == pytest.approx(-5.0 * (1.0 - pump_slope))
+    summary = json.loads((tmp_path / "simulate" / "summary.json").read_text())
+    assert abs(principal_angle(summary["terminal_phases"]["q"] - predicted)) < 0.01
+
+
+def test_phase_prediction_refuses_pumps_with_different_ramps(tmp_path, capsys):
+    raw = {
+        "system": {"kind": "tripod"},
+        "schedule": {"tau": 1.0, "pulse_delay": 0.5, "sequence_delay": 4.0},
+        "drives": [{"level": "0", "role": "pump", "peak_rabi": 120.0, "phase_slope": 0.5},
+                   {"level": "1", "role": "pump", "peak_rabi": 120.0},
+                   {"level": "2", "role": "stokes", "peak_rabi": 120.0, "phase_slope": 1.0}],
+    }
+    out = tmp_path / "x"
+    assert main(["phase", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: drives: ")
+    assert not (out / "phase.json").exists()
+
+
 def test_phase_prediction_needs_an_interaction_shift(tmp_path, capsys):
     raw = {
         "system": {"kind": "two_atom"},
@@ -762,8 +809,9 @@ def test_phase_prediction_needs_an_interaction_shift(tmp_path, capsys):
     ("two_atom", [{"level": "1", "role": "pump", "peak_rabi": 120.0}]),
 ])
 def test_phase_prediction_needs_one_stokes_drive(tmp_path, capsys, kind, drives):
+    shift = {"interaction_shift": 0.01} if kind == "two_atom" else {}
     raw = {
-        "system": {"kind": kind, "interaction_shift": 0.01},
+        "system": {"kind": kind, **shift},
         "schedule": {"tau": 1.0, "pulse_delay": 0.5, "sequence_delay": 4.0},
         "drives": drives,
     }
@@ -798,6 +846,41 @@ def test_invalid_schedule_is_a_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, raw)
     rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+def test_a_lambda_system_names_its_drives_once(tmp_path, capsys):
+    """The message is raised under its own path, not wrapped again under system."""
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(REPO / "configs" / "dark_transport.yaml"),
+                 "--out", str(out), "--set", "drives.1.level=1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: drives: a lambda system needs exactly drives on levels 'q' and 's'\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("t_start", ["1e15", "1e16"])
+def test_a_time_origin_floats_cannot_resolve_is_refused_before_any_step(
+        tmp_path, capsys, monkeypatch, t_start):
+    """Float spacing at the end of the support beyond 2**-10 of tau/200 exits 1 before
+    the ladder starts; unchecked, these ran rung after rung and then exited 2."""
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(gates, "converge_many", no_ladder)
+    out = tmp_path / "x"
+    rc = main(["gate", "--config", str(REPO / "configs" / "phase_gate.yaml"), "--out", str(out),
+               "--set", f"schedule.t_start={t_start}", "--set", "grid.tolerance=1e-4"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: schedule: t_start ")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("t_start", ["0", "2.5", "5", "1e6"])
+def test_time_origins_floats_resolve_still_run(tmp_path, t_start):
+    out = tmp_path / "x"
+    assert main(["gate", "--config", str(REPO / "configs" / "phase_gate.yaml"), "--out", str(out),
+                 "--set", f"schedule.t_start={t_start}", "--set", "grid.tolerance=1e-4"]) == 0
+    assert json.loads((out / "gate.json").read_text())["fidelity"] > 0.9999
 
 
 def test_negative_peak_is_a_config_error(tmp_path, capsys):

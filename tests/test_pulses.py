@@ -157,6 +157,16 @@ def test_schedule_validation():
         StirapSchedule(tau=1.0, pulse_delay=0.5, sequence_delay=math.nan)
 
 
+def test_schedule_refuses_an_origin_floats_cannot_resolve():
+    """The float spacing at the end of the support may be at most 2**-10 of tau/200."""
+    for t_start in (0.0, 5.0, 1e6, -1e6, 1e10):
+        sched = build_schedule(2.0, 0.8, 8.0, t_start=t_start)
+        assert math.ulp(sched.support_end) <= 2.0**-10 * sched.default_step
+    for t_start in (1e11, 1e15, -1e15, 1e16, 1e300):
+        with pytest.raises(ValueError, match=r"t_start .* rounds away"):
+            build_schedule(2.0, 0.8, 8.0, t_start=t_start)
+
+
 def test_schedule_translation_moves_everything():
     base = build_schedule(1.5, 0.7, 6.0, t_start=0.0)
     moved = build_schedule(1.5, 0.7, 6.0, t_start=-2.5)
