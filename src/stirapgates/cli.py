@@ -789,11 +789,13 @@ def cmd_phase(args, raw: dict, cfg: ExperimentConfig, out_dir: str) -> tuple[lis
     else:
         est = two_qubit_phase(schedule, shift, peak_1=peak_pump, peak_2=peak_stokes)
         wz = wz_propagate(schedule, shift, peak_1=peak_pump, peak_2=peak_stokes)
+        # each atom winds by the single-atom transport phase of the relative ramp
+        ramp = berry_phase_closed_form(schedule, relative)
         payload = {
             "kind": kind,
-            "quadrature": est.value,
+            "quadrature": est.value + 2.0 * ramp,
             "error_estimate": est.error_estimate,
-            "transport_phase": wz.geometric_phase,
+            "transport_phase": wz.geometric_phase + 2.0 * ramp,
             "difference": est.value - wz.geometric_phase,
             "max_mixing": wz.max_mixing,
             "terminal_mixing": wz.terminal_mixing,

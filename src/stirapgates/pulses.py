@@ -121,15 +121,36 @@ class DriveField:
     def amplitude(self, t):
         t = np.asarray(t, dtype=float)
         total = np.zeros_like(t)
+        if not t.size:
+            return total
+        first, last = t.min(), t.max()
         for env in self.envelopes:
-            total = total + env.value(t)
+            # an envelope whose support misses [first, last] adds only zeros (a
+            # NaN time fails both tests, so every envelope is evaluated)
+            if not (last - env.t_on < 0.0 or first - env.t_on >= 2.0 * env.tau):
+                total = total + env.value(t)
         return total if total.ndim else float(total)
 
     def weights(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of the in-phase and quadrature terms: amplitude * (cos, sin) of the phase."""
+        """Weights of the in-phase and quadrature terms: amplitude * (cos, sin) of the phase.
+
+        The phase is evaluated only where the amplitude is nonzero; both
+        weights are zero elsewhere, so a drive-free stretch costs no
+        trigonometry.
+        """
+        times = np.asarray(times, dtype=float)
         amp = np.asarray(self.amplitude(times), dtype=float)
-        phase = np.asarray(self.phase.value(times), dtype=float)
-        return amp * np.cos(phase), amp * np.sin(phase)
+        out = np.zeros((2, *amp.shape))
+        flat_t, flat_amp, flat_out = times.reshape(-1), amp.reshape(-1), out.reshape(2, -1)
+        on = np.flatnonzero(flat_amp)
+        if on.size:
+            # nonzero nodes that follow one another, as inside one envelope, are a slice
+            if on[-1] - on[0] + 1 == on.size:
+                on = slice(on[0], on[-1] + 1)
+            phase = np.asarray(self.phase.value(flat_t[on]), dtype=float)
+            flat_out[0, on] = flat_amp[on] * np.cos(phase)
+            flat_out[1, on] = flat_amp[on] * np.sin(phase)
+        return out[0], out[1]
 
     def complex_value(self, t):
         t = np.asarray(t, dtype=float)

@@ -14,6 +14,8 @@ import types
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirapgates import gates
 from stirapgates.cli import (
@@ -136,6 +138,59 @@ def test_config_round_trips_through_its_dict_form():
     }
     cfg = parse_config(raw)
     assert parse_config(config_to_dict(cfg)) == cfg
+
+
+_SHIPPED = sorted(path.stem for path in (REPO / "configs").glob("*.yaml"))
+_ANY = st.floats(-1e6, 1e6)
+_POSITIVE = st.floats(1e-9, 1e6)
+# every scalar field, with values its parser accepts
+_FIELDS = {
+    "system.detuning": _ANY,
+    "system.interaction_shift": _ANY,
+    "system.initial_state": st.sampled_from([None, "q", "11", "0"]),
+    "schedule.tau": _ANY,
+    "schedule.pulse_delay": _ANY,
+    "schedule.sequence_delay": _ANY,
+    "schedule.t_start": _ANY,
+    "grid.base_step": st.none() | _POSITIVE,
+    "grid.sample_stride": st.integers(1, 1000),
+    "grid.tolerance": st.none() | _POSITIVE,
+    "grid.t_end": st.none() | _ANY,
+    "output_dir": st.sampled_from(["out", "runs/a b", "2024-01-01"]),
+}
+_DRIVE_FIELDS = {
+    "level": st.sampled_from(["q", "s", "0", "1", "2"]),
+    "role": st.sampled_from(["pump", "stokes"]),
+    "peak_rabi": _ANY,
+    "phase_slope": _ANY,
+    "phase_offset": _ANY,
+}
+_GATE_FIELDS = {
+    "kind": st.sampled_from(["phase", "hadamard", "controlled_phase"]),
+    "target_phase": _ANY,
+    "peak_rabi": _POSITIVE,
+    "margin": st.none() | _POSITIVE,
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(name=st.sampled_from(_SHIPPED), data=st.data())
+def test_shipped_configs_with_overrides_round_trip_through_their_dict_form(name, data):
+    """Every shipped config, with drawn ``--set`` overrides of its fields, parses to
+    the same config from its dict form, also once that is written as YAML."""
+    raw = load_config(str(REPO / "configs" / f"{name}.yaml"))
+    fields = dict(_FIELDS)
+    for i in range(len(raw.get("drives", []))):
+        fields.update({f"drives.{i}.{key}": value for key, value in _DRIVE_FIELDS.items()})
+    if "gate" in raw:
+        fields.update({f"gate.{key}": value for key, value in _GATE_FIELDS.items()})
+    paths = data.draw(st.lists(st.sampled_from(sorted(fields)), max_size=5, unique=True))
+    for path in paths:
+        value = data.draw(fields[path], label=path)
+        apply_override(raw, f"{path}={'null' if value is None else repr(value)}")
+    cfg = parse_config(raw)
+    assert parse_config(config_to_dict(cfg)) == cfg
+    assert parse_config(yaml.safe_load(yaml.safe_dump(config_to_dict(cfg)))) == cfg
 
 
 def test_override_nested_and_list_paths():
@@ -776,6 +831,29 @@ def test_phase_prediction_follows_the_relative_drive_ramp(tmp_path, pump_slope):
     assert predicted == pytest.approx(-5.0 * (1.0 - pump_slope))
     summary = json.loads((tmp_path / "simulate" / "summary.json").read_text())
     assert abs(principal_angle(summary["terminal_phases"]["q"] - predicted)) < 0.01
+
+
+@pytest.mark.parametrize("stokes_slope", [0.0, 0.05, 0.1])
+def test_two_atom_phase_prediction_follows_the_relative_drive_ramp(tmp_path, stokes_slope):
+    """Each atom winds by the single-atom transport phase of the relative ramp,
+    so the quadrature and the transport phase both move by twice it and match
+    the terminal phase of 11 that simulate propagates, mod 2 pi, within 0.01."""
+    config = str(REPO / "configs" / "collisional_phase_prediction.yaml")
+    ramp = f"drives.1.phase_slope={stokes_slope}"
+    assert main(["phase", "--config", config, "--out", str(tmp_path / "phase"),
+                 "--set", ramp]) == 0
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "simulate"),
+                 "--set", ramp, "--set", "system.initial_state=11",
+                 "--set", "grid.tolerance=1e-6"]) == 0
+    payload = json.loads((tmp_path / "phase" / "phase.json").read_text())
+    simulated = json.loads((tmp_path / "simulate" / "summary.json").read_text())
+    for key in ("quadrature", "transport_phase"):
+        assert abs(principal_angle(simulated["terminal_phases"]["11"] - payload[key])) < 0.01
+    # the ramp moves both predictions by -2 * slope * sequence delay (16) and
+    # leaves their difference alone
+    assert payload["quadrature"] - payload["transport_phase"] == pytest.approx(
+        payload["difference"], abs=1e-12)
+    assert payload["quadrature"] == pytest.approx(-0.14508 - 32.0 * stokes_slope, abs=1e-5)
 
 
 def test_phase_prediction_refuses_pumps_with_different_ramps(tmp_path, capsys):

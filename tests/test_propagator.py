@@ -43,6 +43,7 @@ from stirapgates.propagator import (
     _components,
     _lumped,
     _Plan,
+    _chunk_rows,
     _rk4_idle_powers,
     _rk4_transfer,
     _rk4_whole_steps,
@@ -923,6 +924,100 @@ def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
         assert a.norm_drift == b.norm_drift
 
 
+def _record_chunk_rows(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Make the chunk loop record, per chunk, its quiet steps, sampled rows, and
+    the rows it reads and computes."""
+    chunks = []
+
+    def recording(quiet, kept):
+        read, computed = _chunk_rows(quiet, kept)
+        chunks.append((quiet.copy(), np.array(kept), read, computed))
+        return read, computed
+
+    monkeypatch.setattr("stirapgates.propagator._chunk_rows", recording)
+    return chunks
+
+
+def test_a_hold_computes_only_stretch_ends_chunk_ends_and_samples(monkeypatch):
+    """Quiet steps are the steps idle for every run. Each chunk reads every row
+    but the inside of a quiet stretch, and computes the rows it reads and the
+    sampled ones; a chunk inside the hold reads only its end. No phase ramp is
+    evaluated where its field is off, and the states, maxima and drift are
+    those of RK4 stepped one step at a time."""
+    model, grid = _gapped_pair()
+    idle = _idle_mask(model, grid)
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11")]
+    chunks = _record_chunk_rows(monkeypatch)
+    evaluated = []
+    value = PhaseRamp.value
+
+    def recording_value(self, t):
+        evaluated.append((id(self), np.array(t, dtype=float)))
+        return value(self, t)
+
+    monkeypatch.setattr(PhaseRamp, "value", recording_value)
+    trajs = propagate_many(model, starts, grid, check_quality=False)
+
+    # both runs read the same two fields, and at this step every idle factor is calm
+    assert np.array_equal(np.concatenate([quiet for quiet, *_ in chunks]), idle)
+    samples = set(grid.sample_indices().tolist())
+    done = 0
+    for quiet, kept, read, computed in chunks:
+        steps = quiet.size
+        ends = [r for r in range(1, steps + 1)
+                if not quiet[r - 1] or r == steps or not quiet[r]]
+        assert read.tolist() == ends
+        rows = set(ends) | {r for r in range(1, steps + 1) if done + r in samples}
+        assert np.flatnonzero(computed).tolist() == sorted(rows)
+        assert set(kept.tolist()) <= rows
+        done += steps
+    assert done == grid.n_steps
+    inside = [(read, computed) for quiet, _, read, computed in chunks if quiet.all()]
+    assert len(inside) >= 5
+    for read, computed in inside:
+        end = computed.size - 1
+        assert read.tolist() == [end]
+        assert computed.sum() <= 1 + -(-end // grid.sample_stride)
+    assert sum(int(computed.sum()) for *_, computed in chunks) < 0.4 * grid.n_steps
+
+    for fld in model.fields:
+        times = [t for key, t in evaluated if key == id(fld.phase)]
+        assert times, fld.level
+        assert np.all(fld.amplitude(np.concatenate(times)) != 0.0), fld.level
+    assert sum(t.size for _, t in evaluated) < 2 * grid.n_steps
+
+    block = np.stack([st.amplitudes for st in starts], axis=1)
+    states, max_pops, drift = _staged_rk4(model.sample, block, grid)
+    for j, traj in enumerate(trajs):
+        assert np.max(np.abs(traj.states - states[:, :, j])) < 1e-12
+        assert np.max(np.abs(traj.max_populations - max_pops[:, j])) < 1e-12
+        assert abs(traj.norm_drift - drift) < 1e-12
+
+
+def test_a_growing_idle_factor_reads_every_row(monkeypatch):
+    """At h |lambda| > 2 sqrt 2 the idle factor of a level grows, so no step is
+    quiet and every row is read. Here a drive-free run holds a decaying and a
+    growing level, and the norm dips inside the run further from one than at
+    either end."""
+    h = 0.1
+    # h lambda = 2, 0 and 3: |f|^2 = 0.56, 1 and 2.27
+    model = HamiltonianModel(LAMBDA_LABELS, np.diag([20.0, 0.0, 30.0]).astype(complex), [])
+    start = StateVector(np.sqrt([0.99, 0.0, 0.01]).astype(complex), LAMBDA_LABELS)
+    grid = TimeGrid(0.0, 4 * h, h)
+    chunks = _record_chunk_rows(monkeypatch)
+    (traj,) = propagate_many(model, [start], grid, check_quality=False)
+    for quiet, _, read, computed in chunks:
+        assert not quiet.any()
+        assert read.tolist() == list(range(1, quiet.size + 1))
+        assert computed[1:].all()
+
+    states, max_pops, drift = _staged_rk4(model.sample, start.amplitudes[:, None], grid)
+    norms = np.sum(np.abs(states[:, :, 0]) ** 2, axis=1)
+    assert max(abs(norms[0] - 1.0), abs(norms[-1] - 1.0)) < drift - 0.05
+    assert abs(traj.norm_drift - drift) <= 1e-12 * drift
+    assert np.allclose(traj.max_populations, max_pops[:, 0], rtol=1e-12, atol=0.0)
+
+
 def test_stability_clamp_sees_a_narrow_pulse_on_a_long_grid():
     """A pulse far narrower than the uniform probe spacing still clamps the first rung.
 
@@ -1088,6 +1183,48 @@ def test_time_reversal_round_trip():
     reversed_model = time_reversed(system.model(), sched.t_start, sched.support_end)
     (back,), _ = converge_many(reversed_model, [forward.final_state], grid, tolerance=tol)
     assert np.linalg.norm(back.final_state.amplitudes - start.amplitudes) <= 10.0 * tol
+
+
+_REVERSAL_TOLERANCE = 1e-7
+
+
+@st.composite
+def _reversible_runs(draw):
+    """A lambda or tripod system on a drawn schedule and time origin, and a start state."""
+    tau = draw(st.floats(0.5, 1.5))
+    pulse_delay = 2.0 * tau * draw(st.floats(0.2, 0.8))
+    sched = build_schedule(tau, pulse_delay, 2.0 * tau + pulse_delay + draw(st.floats(0.1, 2.0)),
+                           t_start=draw(st.floats(-100.0, 100.0)))
+    peak = st.floats(10.0, 60.0)
+    ramp = st.builds(PhaseRamp, st.just("linear"), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0))
+    detuning = draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        pump, stokes = sequence_fields(sched, draw(peak), draw(peak), "q", "s",
+                                       stokes_phase=draw(ramp))
+        model = LambdaSystem(pump=pump, stokes=stokes, detuning=detuning).model()
+        return sched, model, basis_state(LAMBDA_LABELS, "q")
+    model = TripodSystem(drives={
+        "0": sched.drive("0", "pump", draw(peak), draw(ramp)),
+        "1": sched.drive("1", "pump", draw(peak)),
+        "2": sched.drive("2", "stokes", draw(peak), draw(ramp)),
+    }, detuning=detuning).model()
+    amps = np.array([draw(_COMPLEX), draw(_COMPLEX), 0.0, 0.0]) + np.array([1.0, 0.0, 0.0, 0.0])
+    return sched, model, StateVector(amps / np.linalg.norm(amps), TRIPOD_LABELS)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(case=_reversible_runs())
+def test_a_time_reversed_run_returns_the_start_state(case):
+    """The reversed model run from the forward run's end state comes back to the
+    start state, phase included, within the ladder tolerance."""
+    sched, model, start = case
+    grid = TimeGrid(sched.t_start, sched.support_end, sched.default_step, sample_stride=10**6)
+    (forward,), _ = converge_many(model, [start], grid, tolerance=_REVERSAL_TOLERANCE)
+    backward = time_reversed(model, sched.t_start, sched.support_end)
+    (back,), _ = converge_many(backward, [forward.final_state], grid,
+                               tolerance=_REVERSAL_TOLERANCE)
+    error = np.linalg.norm(back.final_state.amplitudes - start.amplitudes)
+    assert error <= _REVERSAL_TOLERANCE
 
 
 def test_time_reversed_narrow_pulse_keeps_the_clamp():

@@ -104,6 +104,29 @@ def test_field_sums_disjoint_envelopes():
     assert field.amplitude(3.5) == 0.0
 
 
+@pytest.mark.parametrize("times", [
+    np.array([3.5, 1.0, 6.0, -2.0, 2.0, 7.0]),   # unsorted, in both supports and the gap
+    np.array([2.5, 4.9999]),                     # the gap only
+    np.array([np.nan, 1.0, 6.0]),                # a NaN does not hide the others
+    np.array([[0.5, 3.0], [5.5, 9.0]]),
+])
+def test_field_amplitude_and_weights_match_every_envelope_evaluated(times):
+    """Envelopes whose support misses every time are skipped, and the phase is
+    evaluated only where the amplitude is nonzero, with the values unchanged."""
+    a = PulseEnvelope(1.0, 1.0, 0.0)
+    b = PulseEnvelope(2.0, 1.0, 5.0)
+    field = DriveField(level="q", envelopes=(a, b),
+                       phase=PhaseRamp(kind="linear", offset=0.3, slope=-1.7))
+    amplitude = a.value(times) + b.value(times)
+    assert np.array_equal(field.amplitude(times), amplitude)
+    in_phase, quadrature = field.weights(times)
+    on = amplitude != 0.0
+    phase = field.phase.value(times)
+    assert np.array_equal(in_phase[on], (amplitude * np.cos(phase))[on])
+    assert np.array_equal(quadrature[on], (amplitude * np.sin(phase))[on])
+    assert not in_phase[~on].any() and not quadrature[~on].any()
+
+
 def test_field_rejects_overlapping_envelopes():
     a = PulseEnvelope(1.0, 1.0, 0.0)
     b = PulseEnvelope(1.0, 1.0, 1.0)
