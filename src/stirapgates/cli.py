@@ -246,11 +246,11 @@ def _section(cls, raw, path: str):
     entry = dict(_expect_mapping(raw, label))
     values = {}
     for spec in fields(cls):
+        sub = f"{path}.{spec.name}" if path else spec.name
         if spec.name in entry:
-            sub = f"{path}.{spec.name}" if path else spec.name
             values[spec.name] = _parse_field(spec, entry.pop(spec.name), sub)
         elif spec.default is MISSING:
-            raise ConfigError(f"{label}.{spec.name}: required field is missing")
+            raise ConfigError(f"{sub}: required field is missing")
     if entry:
         raise ConfigError(f"{label}: unknown field(s) {sorted(entry)}")
     return cls(**values)

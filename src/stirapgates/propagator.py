@@ -19,9 +19,10 @@ a chunk computes only the stretch's last state, the other steps' states,
 its end and its samples, and reads maxima and drift at all of them but
 the samples. They still cover every step. The state is never
 renormalized; ``converge_many`` halves the step until successive terminal
-states agree. Phases are unwrapped along the time axis only while a level
-is populated; across depopulated gaps the last defined value is frozen and
-unwrapping resumes relative to it.
+states agree. A level's phase, defined only while it is populated, is its
+raw angle less 2 pi times the whole turns counted along its defined samples,
+each step taken in (-pi, pi]. So a strided run's phases equal the dense
+run's unless a level turns by more than pi between kept samples.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import POPULATION_FLOOR, StateVector, principal_angle
+from .qcore import POPULATION_FLOOR, StateVector
 from .systems import HamiltonianModel
 
 NORM_DRIFT_LIMIT = 1e-6
@@ -589,16 +590,12 @@ def _run_fixed_step(plan: _Plan, grid: TimeGrid):
 
 
 def _unwrap_column(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    # a step from the previous defined sample (from 0 before the first) counts
+    # the whole turns that bring it into (-pi, pi]
     out = np.full(raw.shape, np.nan)
-    idx = np.nonzero(defined)[0]
-    if idx.size == 0:
-        return out
-    vals = raw[idx]
-    deltas = np.diff(vals)
-    wrapped = np.mod(deltas + np.pi, 2.0 * np.pi) - np.pi
-    wrapped[wrapped == -np.pi] = np.pi
-    start = principal_angle(float(vals[0]))
-    out[idx] = start + np.concatenate(([0.0], np.cumsum(wrapped)))
+    vals = raw[defined]
+    turns = np.cumsum(np.ceil((np.diff(vals, prepend=0.0) - np.pi) / (2.0 * np.pi)))
+    out[defined] = vals - 2.0 * np.pi * turns
     return out
 
 
@@ -616,9 +613,9 @@ def extract_observables(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]
     """Populations and unwrapped phases recomputed from the stored states.
 
     A level's phase is defined only where its population exceeds the
-    reporting floor. Within a defined stretch consecutive values differ by
-    less than pi; across an undefined gap the phase resumes from the last
-    defined value plus the principal-branch increment.
+    reporting floor. Consecutive defined values differ by a step in
+    (-pi, pi], also across an undefined gap; each value is the raw angle less
+    a whole number of turns.
     """
     return _observables(trajectory.states)
 
@@ -709,7 +706,6 @@ def converge_many(
     states: list[StateVector],
     grid: TimeGrid,
     tolerance: float = 1e-8,
-    max_halvings: int = _MAX_HALVINGS,
 ) -> tuple[list[Trajectory], ConvergenceReport]:
     """Halve the step until successive terminal states agree.
 
@@ -729,7 +725,7 @@ def converge_many(
     run = _run_fixed_step(plan, current)
     steps = [current.step]
     distances: list[float] = []
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         # a copy, so the coarse rung's samples are freed once the fine run replaces them
         coarse_final = run[0][-1].copy()
         current = current.refined()
@@ -759,7 +755,7 @@ def converge_many(
             )
     raise ConvergenceError(
         f"terminal states did not converge to {tolerance} within "
-        f"{max_halvings} halvings (distances: "
+        f"{_MAX_HALVINGS} halvings (distances: "
         + ", ".join(f"{d:.3e}" for d in distances)
         + ")"
     )

@@ -918,6 +918,60 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+# the text of a config file, for the cases that start from no shipped config
+_EMPTY_FILE, _INVALID_FILE = "", "a: [1\n"
+
+
+@pytest.mark.parametrize("command, config, assignments, error", [
+    ("simulate", "dark_transport", ["schedule=5"], "schedule: expected a mapping"),
+    ("simulate", "dark_transport", ["schedule.tau=abc"], "schedule.tau: expected a number"),
+    ("simulate", "dark_transport", ["drives=5"], "drives: expected a list"),
+    ("simulate", _INVALID_FILE, [], "{config}: invalid YAML"),
+    ("simulate", _EMPTY_FILE, [], "system: required field is missing"),
+    ("simulate", "dark_transport", ["=1"], "override '=1': empty path"),
+    ("simulate", "dark_transport", ["schedule.tau=[1"], "override schedule.tau: invalid value"),
+    ("simulate", "dark_transport", ["schedule.tau.x.y=1"],
+     "override schedule.tau.x.y: 'schedule.tau' is not a container"),
+    ("simulate", "dark_transport", ["schedule.tau.x=1"],
+     "override schedule.tau.x: target is not a container"),
+    ("simulate", "dark_transport", ["drives.1.level=q"], "drives: at most one drive per level"),
+    ("simulate", "dark_transport", ["system.initial_state=null"],
+     "system.initial_state: required for trajectory runs"),
+    ("simulate", "dark_transport", ["system.initial_state=x"],
+     "system.initial_state: 'x' is not one of"),
+    ("gate", "phase_gate", ["gate=null"], "gate: section is required"),
+    ("sweep", "dark_transport", [], "sweep: section with at least one axis"),
+])
+def test_each_refusal_names_its_path_and_writes_no_file(
+        tmp_path, capsys, command, config, assignments, error):
+    """A shipped config by name, or a file holding the given text."""
+    if config in _SHIPPED:
+        path = str(REPO / "configs" / f"{config}.yaml")
+    else:
+        path = str(tmp_path / "config.yaml")
+        pathlib.Path(path).write_text(config, encoding="utf-8")
+    out = tmp_path / "x"
+    argv = [command, "--config", path, "--out", str(out)]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: " + error.format(config=path))
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_hadamard_sweep_writes_its_phase_as_an_empty_field(tmp_path):
+    """A Hadamard gate reports no phase, and the sweep table leaves the field empty."""
+    axis = {"parameter": "gate.peak_rabi", "start": 290.0, "stop": 310.0, "points": 2}
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(REPO / "configs" / "hadamard_gate.yaml"),
+                 "--out", str(out), "--workers", "1", "--set", f"sweep={{'axes': [{axis}]}}",
+                 "--set", "grid.tolerance=1e-4"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["gate.peak_rabi"]) for r in rows] == [290.0, 310.0]
+    assert all(r["phase"] == "" and r["error"] == "" for r in rows)
+
+
 def test_invalid_schedule_is_a_config_error(tmp_path, capsys):
     raw = simulate_raw()
     raw["schedule"]["tau"] = -1.0

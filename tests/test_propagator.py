@@ -48,6 +48,7 @@ from stirapgates.propagator import (
     _rk4_transfer,
     _rk4_whole_steps,
     _run_fixed_step,
+    _unwrap_column,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -132,6 +133,38 @@ def test_constant_diagonal_phase_is_a_straight_line():
     assert np.max(np.abs(traj.phases[:, 1])) < 1e-9
     # several full turns happened, so the straight line proves the unwrap
     assert expected[-1] < -2.0 * math.pi
+
+
+def test_a_phase_is_its_raw_angle_less_the_whole_turns_counted_so_far():
+    """A step from the previous defined sample (from 0 before the first) counts
+    ceil((step - pi) / 2 pi) turns; undefined rows are NaN and skipped."""
+    eps = 1e-9
+    pi = math.pi
+    # (raw angle, defined, whole turns counted up to the row)
+    rows = [
+        (2.0, False, None),
+        (-pi, True, -1),        # the first value: -pi maps to pi
+        (-eps, True, -1),       # step pi - eps, just inside
+        (3.0, False, None),     # a depopulated gap
+        (-0.5, False, None),
+        (pi, True, 0),          # step pi + eps across the gap, just outside
+        (eps, True, 0),         # step -(pi - eps), just inside
+        (-pi, True, -1),        # step -(pi + eps), just outside
+        (-pi / 2, True, -1),
+        (pi / 2, True, -1),     # step exactly pi stays
+        (-pi / 2, True, -2),    # step exactly -pi turns
+    ]
+    raw = np.array([r for r, _, _ in rows])
+    defined = np.array([d for _, d, _ in rows])
+    phases = _unwrap_column(raw, defined)
+    for (r, d, k), phase in zip(rows, phases):
+        if d:
+            assert phase == r - 2 * math.pi * k
+        else:
+            assert math.isnan(phase)
+    assert phases[1] == pi
+    steps = np.diff(phases[defined])
+    assert np.all((steps > -pi) & (steps <= pi))
 
 
 def test_rabi_oscillation_matches_the_closed_form():
@@ -763,6 +796,11 @@ def test_the_stride_only_picks_which_samples_are_kept(case, t_start, steps, stri
         assert np.array_equal(kept.states, full.states[idx])
         assert np.array_equal(kept.populations, full.populations[idx])
         assert np.array_equal(np.isnan(kept.phases), np.isnan(full.phases[idx]))
+        # bit for bit, unless a level turned by more than pi between kept samples
+        gap = (kept.phases - full.phases[idx])[~np.isnan(kept.phases)]
+        turns = np.round(gap / (2.0 * math.pi))
+        assert np.all((gap == 0.0)
+                      | ((turns != 0.0) & (np.abs(gap - 2.0 * math.pi * turns) <= 1e-12)))
         assert np.array_equal(kept.max_populations, full.max_populations)
         assert kept.norm_drift == full.norm_drift
 
@@ -1094,11 +1132,12 @@ def test_converge_handles_a_jump_discontinuity():
     assert np.linalg.norm(traj.final_state.amplitudes - exact) < 1e-3
 
 
-def test_converge_raises_when_the_cap_is_exhausted():
+def test_converge_raises_when_the_cap_is_exhausted(monkeypatch):
+    monkeypatch.setattr("stirapgates.propagator._MAX_HALVINGS", 2)
     ham = 5.0 * SIGMA_X
     grid = TimeGrid(0.0, 2.0, 0.5, sample_stride=1)
     with pytest.raises(ConvergenceError):
-        converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-15, max_halvings=2)
+        converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-15)
     assert issubclass(ConvergenceError, IntegrationQualityError)
 
 

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from stirapgates import (
+    HamiltonianModel,
     HermiticityError,
     HermitianOperator,
     StateVector,
+    TimeGrid,
     UnitarityError,
     basis_state,
+    calibrate_interaction_shift,
     eig_hermitian,
     overlap_phase,
     principal_angle,
+    propagate_many,
+    tripod_dressed_states,
+    two_qubit_phase,
     unitary_fidelity,
 )
 
@@ -202,3 +208,29 @@ def test_fidelity_rejects_non_unitary():
 def test_fidelity_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         unitary_fidelity(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# refusals across the library
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: StateVector(np.eye(2), ("0", "1")), ValueError, "one-dimensional"),
+    (lambda: HermitianOperator(np.zeros((2, 3)), ("0", "1")), ValueError, "square"),
+    (lambda: HermitianOperator(np.eye(2), ("0", "1", "2")), ValueError, "basis_labels length"),
+    (lambda: unitary_fidelity(np.zeros((2, 3)), np.eye(2)), ValueError, "square"),
+    (lambda: HamiltonianModel(("0", "1"), np.eye(3), []), ValueError, "wrong shape"),
+    (lambda: tripod_dressed_states(0.3, 0.0, 0.0, 0.0, 0.0), ValueError, "nonzero"),
+    (lambda: propagate_many("H", [basis_state(("0", "1"), "0")], TimeGrid(0.0, 1.0, 0.1)),
+     TypeError, "unsupported Hamiltonian"),
+    (lambda: two_qubit_phase(object(), 0.1), TypeError, "StirapSchedule"),
+    (lambda: calibrate_interaction_shift(2.0, target_mixing=1e-12),
+     ValueError, "lower bracket .* already exceeds"),
+    (lambda: calibrate_interaction_shift(2.0, target_mixing=0.9, bracket=(1e-4, 1e-3)),
+     ValueError, "no crossing"),
+], ids=["state-2d", "operator-not-square", "operator-labels", "fidelity-not-square",
+        "model-static-shape", "dressed-no-drive", "propagate-str", "phase-schedule-type",
+        "calibrate-lower-bracket", "calibrate-no-crossing"])
+def test_each_refusal_raises_its_own_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
