@@ -54,6 +54,7 @@ from .propagator import (
     NORM_DRIFT_LIMIT,
     ConvergenceError,
     ConvergenceReport,
+    GridTooFineError,
     IntegrationQualityError,
     TimeGrid,
     Trajectory,

@@ -42,7 +42,8 @@ from .geomphase import (
     two_qubit_phase,
     wz_propagate,
 )
-from .propagator import IntegrationQualityError, TimeGrid, converge_many, propagate_many
+from .propagator import (GridTooFineError, IntegrationQualityError, TimeGrid, converge_many,
+                         propagate_many)
 from .pulses import DriveField, PhaseRamp, StirapSchedule
 from .qcore import basis_state
 from .systems import (
@@ -407,13 +408,14 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 @contextmanager
 def _under(path: str, *errors: type[Exception]):
-    """Report a library ValueError (or one of ``errors``) raised inside as a
-    ConfigError under the config ``path``; a ConfigError passes through."""
+    """Report a library error of a type in ``errors`` (by default ValueError)
+    raised inside as a ConfigError under the config ``path``; a ConfigError
+    passes through."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, *errors) as exc:
+    except errors or ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -481,7 +483,7 @@ def _trajectory_setup(cfg: ExperimentConfig):
 def _run_trajectory(cfg: ExperimentConfig):
     model, state, grid = _trajectory_setup(cfg)
     # a grid with more steps than numpy can index fails here, before it allocates
-    with _under("grid", OverflowError):
+    with _under("grid", ValueError, OverflowError):
         if cfg.grid.tolerance is None:
             return propagate_many(model, [state], grid)[0], None
         (traj,), report = converge_many(model, [state], grid, tolerance=cfg.grid.tolerance)
@@ -513,7 +515,8 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
 
 def _run_gate(cfg: ExperimentConfig) -> GateReport:
     spec = _gate_spec(cfg)
-    with _under("gate"):
+    # a grid too fine for the ladder to start is the grid's fault, whichever gate runs
+    with _under("gate"), _under("grid", GridTooFineError, OverflowError):
         if cfg.gate.kind == "phase":
             return run_phase_gate(spec, cfg.gate.target_phase)
         if cfg.gate.kind == "hadamard":

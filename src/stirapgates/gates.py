@@ -106,6 +106,12 @@ def _finalize_matrix(matrix: np.ndarray, leakage_cap: float) -> tuple[np.ndarray
     return u, leakage
 
 
+def _columns(final_states: list[StateVector], levels: tuple[str, ...]) -> np.ndarray:
+    """Column k: the amplitudes on ``levels`` of the run that started in ``levels[k]``."""
+    return np.array([[state.amplitude(level) for state in final_states] for level in levels],
+                    dtype=complex)
+
+
 def reconstruct_unitary(
     final_states: list[StateVector],
     qubit_levels: tuple[str, ...],
@@ -120,27 +126,39 @@ def reconstruct_unitary(
     """
     if len(final_states) != len(qubit_levels):
         raise ValueError("need one final state per qubit basis level")
-    dim = len(qubit_levels)
-    u = np.zeros((dim, dim), dtype=complex)
-    for k, state in enumerate(final_states):
-        for j, level in enumerate(qubit_levels):
-            u[j, k] = state.amplitude(level)
-    return _finalize_matrix(u, leakage_cap)
+    return _finalize_matrix(_columns(final_states, qubit_levels), leakage_cap)
 
 
-def _fidelity(u: np.ndarray, target: np.ndarray, leakage: float) -> float:
-    tol = max(1e-8, 5.0 * leakage + 1e-12)
-    return unitary_fidelity(u, target, unitarity_tol=tol)
+def _run(kind: str, spec: GateSpec, model: HamiltonianModel, starts: tuple[str, ...],
+         target: np.ndarray, predicted: float, note: str = "") -> GateReport:
+    """The gate that one ladder over a run from each level of ``starts`` makes.
 
-
-def _converge(spec: GateSpec, model: HamiltonianModel, levels: tuple[str, ...]
-              ) -> tuple[list[StateVector], ConvergenceReport, float]:
-    """One ladder over the runs starting in each of ``levels``: their final
-    states, the ladder's report and the largest excited population reached."""
-    starts = [basis_state(model.basis_labels, level) for level in levels]
-    trajs, report = converge_many(model, starts, spec.grid(), tolerance=spec.tolerance)
-    worst = float(np.max([t.max_e_population for t in trajs]))
-    return [t.final_state for t in trajs], report, worst
+    A target larger than ``starts`` leads with an idle level that no drive
+    reaches, whose column is the exact identity. For a diagonal target the
+    achieved phase is that of the last diagonal entry relative to the first.
+    """
+    runs = [basis_state(model.basis_labels, level) for level in starts]
+    trajs, report = converge_many(model, runs, spec.grid(), tolerance=spec.tolerance)
+    idle = len(target) - len(starts)
+    matrix = np.eye(len(target), dtype=complex)
+    matrix[idle:, idle:] = _columns([t.final_state for t in trajs], starts)
+    u, leakage = _finalize_matrix(matrix, LEAKAGE_CAP)
+    diagonal = not np.any(target - np.diag(np.diag(target)))
+    return GateReport(
+        kind=kind,
+        qubit_labels=("idle",) * idle + starts,
+        unitary=u,
+        target=target,
+        fidelity=unitary_fidelity(u, target, unitarity_tol=max(1e-8, 5.0 * leakage + 1e-12)),
+        leakage=leakage,
+        phase=(principal_angle(float(np.angle(u[-1, -1]) - np.angle(u[0, 0])))
+               if diagonal else None),
+        predicted_phase=predicted,
+        schedule=spec.schedule,
+        convergence=report,
+        max_excited_population=float(np.max([t.max_e_population for t in trajs])),
+        note=note,
+    )
 
 
 def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
@@ -156,24 +174,9 @@ def run_phase_gate(spec: GateSpec, target_phase: float) -> GateReport:
     stokes_ramp = PhaseRamp(kind="linear", offset=0.0, slope=slope)
     pump, stokes = sequence_fields(schedule, spec.peak_rabi, spec.peak_rabi, "q", "s", stokes_ramp)
     system = LambdaSystem(pump=pump, stokes=stokes, detuning=spec.detuning)
-    (final,), report, max_excited = _converge(spec, system.model(), ("q",))
-    amp = final.amplitude("q")
-    matrix = np.array([[1.0, 0.0], [0.0, amp]], dtype=complex)
-    u, leakage = _finalize_matrix(matrix, LEAKAGE_CAP)
-    target = np.diag([1.0, np.exp(1j * target_phase)])
-    return GateReport(
-        kind="phase",
-        qubit_labels=("idle", "q"),
-        unitary=u,
-        target=target,
-        fidelity=_fidelity(u, target, leakage),
-        leakage=leakage,
-        phase=principal_angle(float(np.angle(u[1, 1]))),
-        predicted_phase=berry_phase_closed_form(schedule, stokes_ramp),
-        schedule=schedule,
-        convergence=report,
-        max_excited_population=max_excited,
-    )
+    return _run("phase", spec, system.model(), ("q",),
+                np.diag([1.0, np.exp(1j * target_phase)]),
+                berry_phase_closed_form(schedule, stokes_ramp))
 
 
 def run_hadamard(spec: GateSpec) -> GateReport:
@@ -198,21 +201,8 @@ def run_hadamard(spec: GateSpec) -> GateReport:
         "2": schedule.drive("2", "stokes", peak_stokes, stokes_ramp),
     }
     system = TripodSystem(drives=drives, detuning=spec.detuning)
-    finals, report, max_excited = _converge(spec, system.model(), ("0", "1"))
-    u, leakage = reconstruct_unitary(finals, ("0", "1"))
-    return GateReport(
-        kind="hadamard",
-        qubit_labels=("0", "1"),
-        unitary=u,
-        target=_HADAMARD_TARGET.astype(complex),
-        fidelity=_fidelity(u, _HADAMARD_TARGET, leakage),
-        leakage=leakage,
-        phase=None,
-        predicted_phase=berry_phase_closed_form(schedule, stokes_ramp),
-        schedule=schedule,
-        convergence=report,
-        max_excited_population=max_excited,
-    )
+    return _run("hadamard", spec, system.model(), ("0", "1"), _HADAMARD_TARGET.astype(complex),
+                berry_phase_closed_form(schedule, stokes_ramp))
 
 
 def solve_sequence_delay(
@@ -269,26 +259,7 @@ def run_controlled_phase(
     solved = replace(spec, schedule=replace(spec.schedule, sequence_delay=delay))
     pump, stokes = sequence_fields(solved.schedule, spec.peak_rabi, spec.peak_rabi, "1", "2")
     system = TwoAtomSystem({"1": pump, "2": stokes}, spec.detuning, spec.interaction_shift)
-    qubit_levels = ("00", "01", "10", "11")
-    finals, report, max_excited = _converge(solved, system.model(), qubit_levels)
-    u, leakage = reconstruct_unitary(finals, qubit_levels)
-    target = np.diag([1.0, 1.0, 1.0, np.exp(1j * target_phase)])
-    achieved = principal_angle(float(np.angle(u[3, 3]) - np.angle(u[0, 0])))
-    predicted = -spec.interaction_shift * (delay - correction)
-    return GateReport(
-        kind="controlled_phase",
-        qubit_labels=qubit_levels,
-        unitary=u,
-        target=target,
-        fidelity=_fidelity(u, target, leakage),
-        leakage=leakage,
-        phase=achieved,
-        predicted_phase=predicted,
-        schedule=solved.schedule,
-        convergence=report,
-        max_excited_population=max_excited,
-        note=(
-            f"sequence delay solved to {delay:.6f} "
-            f"(ramp correction {correction:.6f})"
-        ),
-    )
+    return _run("controlled_phase", solved, system.model(), ("00", "01", "10", "11"),
+                np.diag([1.0, 1.0, 1.0, np.exp(1j * target_phase)]),
+                -spec.interaction_shift * (delay - correction),
+                note=f"sequence delay solved to {delay:.6f} (ramp correction {correction:.6f})")

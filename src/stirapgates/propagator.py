@@ -57,6 +57,10 @@ class ConvergenceError(IntegrationQualityError):
     """Raised when the step-halving ladder hits its cap without converging."""
 
 
+class GridTooFineError(ValueError):
+    """Raised when a ladder's requested grid has more steps than its first rung may take."""
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform integration grid with a sampling stride.
@@ -180,12 +184,10 @@ class _Entries:
 
 
 def _as_model(hamiltonian, labels: tuple[str, ...]) -> HamiltonianModel:
-    """A HamiltonianModel as it is; a constant matrix as the static part; a
-    callable t -> matrix as the source of the unit matrices E_jk and i E_jk."""
+    """A HamiltonianModel as it is; a callable t -> matrix as the source of the
+    unit matrices E_jk and i E_jk."""
     if isinstance(hamiltonian, HamiltonianModel):
         return hamiltonian
-    if isinstance(hamiltonian, np.ndarray):
-        return HamiltonianModel(labels, hamiltonian, [])
     if callable(hamiltonian):
         dim = len(labels)
         units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
@@ -198,8 +200,8 @@ def _as_model(hamiltonian, labels: tuple[str, ...]) -> HamiltonianModel:
 # t + h/2 and t + h, and consecutive steps share their end node
 
 _STABILITY_FACTOR = 0.8
-# A clamped first rung may start at most this many steps; a drive that needs
-# more is refused before any step is taken
+# The first rung of a ladder takes at most this many steps, whether the request
+# or the stability clamp set its step; more is refused before any step is taken
 _MAX_START_STEPS = 2**20
 # Up to this dim a batched d x d matmul is bound by its per-call overhead, so
 # _rk4_transfer multiplies elementwise
@@ -298,9 +300,15 @@ def _rk4_start_step(model, grid: TimeGrid) -> float:
 
     The scan probes 257 uniform times plus the peak of every drive envelope
     the model carries, so a pulse narrower than the probe spacing still
-    counts. A clamped step that needs more than ``_MAX_START_STEPS`` steps
+    counts. A requested grid of more than ``_MAX_START_STEPS`` steps raises
+    GridTooFineError before any sampling, and a clamped step that needs more
     raises IntegrationQualityError.
     """
+    if grid.n_steps > _MAX_START_STEPS:
+        raise GridTooFineError(
+            f"base_step {grid.base_step:.3e} asks for {grid.span / grid.base_step:.3e} steps "
+            f"over the span; the ladder starts at most {_MAX_START_STEPS} steps"
+        )
     peaks = [env.t_on + env.tau for fld in model.fields for env in fld.envelopes]
     probes = np.concatenate((
         np.linspace(grid.t_start, grid.t_end, 257),
@@ -668,12 +676,12 @@ def propagate_many(
 ) -> list[Trajectory]:
     """Integrate i d(psi)/dt = H(t) psi with classical RK4 on the grid.
 
-    ``hamiltonian`` may be a HamiltonianModel, a constant matrix, or a
-    callable t -> matrix. All initial states share one grid pass and one
-    basis, which must match the model's. The run is deterministic for a
-    given grid. When the norm drifts by more than ``NORM_DRIFT_LIMIT``, or
-    the drift is NaN, the result is rejected with an error asking for step
-    refinement (use ``converge_many``).
+    ``hamiltonian`` may be a HamiltonianModel or a callable t -> matrix.
+    All initial states share one grid pass and one basis, which must match
+    the model's. The run is deterministic for a given grid. When the norm
+    drifts by more than ``NORM_DRIFT_LIMIT``, or the drift is NaN, the
+    result is rejected with an error asking for step refinement (use
+    ``converge_many``).
     """
     plan = _preflight(hamiltonian, states)
     run = _run_fixed_step(plan, grid)
@@ -713,8 +721,9 @@ def converge_many(
     worst terminal-state distance at or below ``tolerance`` and a healthy
     norm; the finest trajectories are returned. Raises ConvergenceError
     when the halving cap is exhausted, IntegrationQualityError at the first
-    terminal distance that is not finite, and ValueError for a tolerance
-    that is not a positive finite number.
+    terminal distance that is not finite, ValueError for a tolerance that
+    is not a positive finite number, and GridTooFineError (a ValueError)
+    before any step when ``grid`` has more than 2^20 steps.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")

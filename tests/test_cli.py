@@ -357,6 +357,22 @@ def test_huge_gate_peak_is_refused_before_stepping(tmp_path, capsys, peak):
     assert not (tmp_path / "x" / "gate.json").exists()
 
 
+@pytest.mark.parametrize("command, config", [("gate", "phase_gate"),
+                                             ("simulate", "dark_transport")])
+def test_a_requested_step_over_the_ladder_start_cap_is_a_grid_error(tmp_path, capsys,
+                                                                      command, config):
+    """A base step that starts the ladder at over 2^20 steps exits 1 at once, naming grid;
+    unchecked, the gate's first rung alone took 1.28e8 steps."""
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    rc = main([command, "--config", str(REPO / "configs" / f"{config}.yaml"), "--out", str(out),
+               "--set", "grid.base_step=1e-7"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: grid: base_step 1.000e-07 asks for ")
+    assert not any(out.iterdir())
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     cfg_path = write_config(tmp_path, simulate_raw())
     outs = []

@@ -13,6 +13,7 @@ from stirapgates import (
     TWO_ATOM_LABELS,
     ConvergenceError,
     DriveField,
+    GridTooFineError,
     HamiltonianModel,
     MixingProfile,
     IntegrationQualityError,
@@ -38,6 +39,7 @@ from stirapgates import (
 from stirapgates.propagator import (
     _CHUNK_ENTRIES,
     _CHUNK_STEPS,
+    _MAX_START_STEPS,
     _SCAN_STEPS,
     _SMALL_DIM,
     _components,
@@ -111,7 +113,8 @@ def test_grid_validation():
 def test_zero_hamiltonian_leaves_the_state_alone():
     grid = TimeGrid(0.0, 5.0, 0.05, sample_stride=10)
     start = basis_state(LABELS2, "0")
-    traj = propagate_many(np.zeros((2, 2), dtype=complex), [start], grid)[0]
+    traj = propagate_many(HamiltonianModel(LABELS2, np.zeros((2, 2), dtype=complex), []), [start],
+                          grid)[0]
     assert traj.norm_drift == 0.0
     assert np.allclose(traj.populations[:, 0], 1.0)
     assert np.allclose(traj.phases[:, 0], 0.0)
@@ -122,7 +125,7 @@ def test_zero_hamiltonian_leaves_the_state_alone():
 def test_constant_diagonal_phase_is_a_straight_line():
     """A level at energy w winds its phase down as -w t, unwrapped."""
     omega = 3.7
-    ham = np.diag([omega, 0.0]).astype(complex)
+    ham = HamiltonianModel(LABELS2, np.diag([omega, 0.0]).astype(complex), [])
     amps = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     from stirapgates import StateVector
 
@@ -170,7 +173,8 @@ def test_a_phase_is_its_raw_angle_less_the_whole_turns_counted_so_far():
 def test_rabi_oscillation_matches_the_closed_form():
     omega = 2.0
     grid = TimeGrid(0.0, 3.0, 0.01, sample_stride=5)
-    traj = propagate_many((omega / 2.0) * SIGMA_X, [basis_state(LABELS2, "0")], grid)[0]
+    traj = propagate_many(HamiltonianModel(LABELS2, (omega / 2.0) * SIGMA_X, []),
+                          [basis_state(LABELS2, "0")], grid)[0]
     expected = np.cos(omega * traj.times / 2.0) ** 2
     assert np.max(np.abs(traj.populations[:, 0] - expected)) < 1e-8
 
@@ -178,7 +182,7 @@ def test_rabi_oscillation_matches_the_closed_form():
 def test_fourth_order_step_convergence():
     """Terminal error falls by about 2^4 when the step is halved."""
     omega = 2.0
-    ham = (omega / 2.0) * SIGMA_X
+    ham = HamiltonianModel(LABELS2, (omega / 2.0) * SIGMA_X, [])
     start = basis_state(LABELS2, "0")
     t_end = 2.0
     exact = np.array(
@@ -208,26 +212,27 @@ def test_propagate_rejects_mismatched_basis():
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
 def test_converge_many_refuses_a_tolerance_it_cannot_reach(tolerance):
     with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
-        converge_many(SIGMA_X, [basis_state(LABELS2, "0")], TimeGrid(0.0, 1.0, 0.1),
-                      tolerance=tolerance)
+        converge_many(HamiltonianModel(LABELS2, SIGMA_X, []), [basis_state(LABELS2, "0")],
+                      TimeGrid(0.0, 1.0, 0.1), tolerance=tolerance)
 
 
 @pytest.mark.parametrize("entry", [propagate_many, converge_many])
 def test_entry_points_reject_an_empty_batch(entry):
     with pytest.raises(ValueError, match="at least one"):
-        entry(SIGMA_X, [], TimeGrid(0.0, 1.0, 0.1, sample_stride=1))
+        entry(HamiltonianModel(LABELS2, SIGMA_X, []), [], TimeGrid(0.0, 1.0, 0.1, sample_stride=1))
 
 
 @pytest.mark.parametrize("entry", [propagate_many, converge_many])
 def test_entry_points_reject_mixed_bases(entry):
     starts = [basis_state(LABELS2, "0"), basis_state(("a", "b"), "a")]
     with pytest.raises(ValueError, match="share one basis"):
-        entry(SIGMA_X, starts, TimeGrid(0.0, 1.0, 0.1, sample_stride=1))
+        entry(HamiltonianModel(LABELS2, SIGMA_X, []), starts,
+              TimeGrid(0.0, 1.0, 0.1, sample_stride=1))
 
 
 def test_propagate_flags_excessive_norm_drift():
     # a coarse step under a strong drive loses norm visibly
-    ham = 40.0 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 40.0 * SIGMA_X, [])
     grid = TimeGrid(0.0, 10.0, 0.05, sample_stride=1)
     with pytest.raises(IntegrationQualityError, match="drift"):
         propagate_many(ham, [basis_state(LABELS2, "0")], grid)
@@ -243,22 +248,23 @@ def test_propagate_flags_an_overflowed_run():
     grid = TimeGrid(0.0, 1.0, 0.01, sample_stride=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationQualityError, match="nan"):
-            propagate_many(1e200 * SIGMA_X, [basis_state(labels, "g")], grid)
-        traj = propagate_many(1e200 * SIGMA_X, [basis_state(labels, "g")], grid,
-                              check_quality=False)[0]
+            propagate_many(HamiltonianModel(labels, 1e200 * SIGMA_X, []),
+                           [basis_state(labels, "g")], grid)
+        traj = propagate_many(HamiltonianModel(labels, 1e200 * SIGMA_X, []),
+                              [basis_state(labels, "g")], grid, check_quality=False)[0]
     assert math.isnan(traj.norm_drift)
     assert math.isnan(traj.max_e_population)
 
 
 def test_final_state_is_normalized_despite_drift():
-    ham = 40.0 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 40.0 * SIGMA_X, [])
     grid = TimeGrid(0.0, 10.0, 0.05, sample_stride=1)
     traj = propagate_many(ham, [basis_state(LABELS2, "0")], grid, check_quality=False)[0]
     assert abs(np.linalg.norm(traj.final_state.amplitudes) - 1.0) < 1e-14
 
 
 def test_propagate_many_matches_individual_runs():
-    ham = 1.3 * SIGMA_X + np.diag([0.2, -0.1]).astype(complex)
+    ham = HamiltonianModel(LABELS2, 1.3 * SIGMA_X + np.diag([0.2, -0.1]).astype(complex), [])
     grid = TimeGrid(0.0, 2.0, 0.01, sample_stride=10)
     starts = [basis_state(LABELS2, "0"), basis_state(LABELS2, "1")]
     batched = propagate_many(ham, starts, grid)
@@ -270,7 +276,7 @@ def test_propagate_many_matches_individual_runs():
 
 
 def test_sampling_stride_does_not_change_the_physics():
-    ham = 0.9 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 0.9 * SIGMA_X, [])
     coarse = propagate_many(
         ham, [basis_state(LABELS2, "0")], TimeGrid(0.0, 2.0, 0.01, sample_stride=10)
     )[0]
@@ -286,7 +292,7 @@ def test_sampling_stride_does_not_change_the_physics():
 
 
 def test_extract_observables_mirrors_the_trajectory():
-    ham = 0.7 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 0.7 * SIGMA_X, [])
     traj = propagate_many(
         ham, [basis_state(LABELS2, "0")], TimeGrid(0.0, 1.0, 0.01, sample_stride=5)
     )[0]
@@ -1089,7 +1095,8 @@ def _assert_narrow_pulse_clamped(model, pulse: PulseEnvelope, area: float) -> No
 def test_converge_trivial_problem_accepts_immediately():
     grid = TimeGrid(0.0, 1.0, 0.1, sample_stride=1)
     (traj,), report = converge_many(
-        np.zeros((2, 2), dtype=complex), [basis_state(LABELS2, "0")], grid
+        HamiltonianModel(LABELS2, np.zeros((2, 2), dtype=complex), []), [basis_state(LABELS2, "0")],
+        grid
     )
     # acceptance always needs one comparison pair, so one halving minimum
     assert report.halvings == 1
@@ -1099,7 +1106,7 @@ def test_converge_trivial_problem_accepts_immediately():
 
 
 def test_converge_distances_shrink_monotonically():
-    ham = 2.0 * SIGMA_X + np.diag([0.0, 0.5]).astype(complex)
+    ham = HamiltonianModel(LABELS2, 2.0 * SIGMA_X + np.diag([0.0, 0.5]).astype(complex), [])
     grid = TimeGrid(0.0, 3.0, 0.2, sample_stride=10)
     (traj,), report = converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-10)
     assert len(report.distances) >= 2
@@ -1134,7 +1141,7 @@ def test_converge_handles_a_jump_discontinuity():
 
 def test_converge_raises_when_the_cap_is_exhausted(monkeypatch):
     monkeypatch.setattr("stirapgates.propagator._MAX_HALVINGS", 2)
-    ham = 5.0 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 5.0 * SIGMA_X, [])
     grid = TimeGrid(0.0, 2.0, 0.5, sample_stride=1)
     with pytest.raises(ConvergenceError):
         converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-15)
@@ -1159,6 +1166,27 @@ def test_converge_stops_at_the_first_non_finite_distance(monkeypatch):
     assert len(runs) == 2
 
 
+@pytest.mark.parametrize("steps", [_MAX_START_STEPS, _MAX_START_STEPS + 1])
+def test_a_requested_grid_over_the_start_cap_is_refused_before_any_step(monkeypatch, steps):
+    """A ladder starts at most 2^20 steps whatever set the step: one more is
+    refused by name before a fixed-step run begins, and the cap itself runs."""
+    def no_run(plan, grid):
+        raise AssertionError("a fixed-step run started")
+
+    monkeypatch.setattr("stirapgates.propagator._run_fixed_step", no_run)
+    grid = TimeGrid(0.0, 1.0, 1.0 / steps)
+    assert grid.n_steps == steps
+    model = HamiltonianModel(LABELS2, SIGMA_X, [])
+    if steps > _MAX_START_STEPS:
+        with pytest.raises(GridTooFineError,
+                           match=r"base_step 9\.537e-07 asks for 1\.049e\+06 steps"):
+            converge_many(model, [basis_state(LABELS2, "0")], grid)
+        assert issubclass(GridTooFineError, ValueError)
+    else:
+        with pytest.raises(AssertionError, match="fixed-step run started"):
+            converge_many(model, [basis_state(LABELS2, "0")], grid)
+
+
 def test_the_plan_is_built_once_per_call_and_per_ladder(monkeypatch):
     """Every rung of a ladder runs on one plan, however many rungs it takes."""
     built = []
@@ -1169,7 +1197,7 @@ def test_the_plan_is_built_once_per_call_and_per_ladder(monkeypatch):
             super().__init__(model, psi0)
 
     monkeypatch.setattr("stirapgates.propagator._Plan", CountingPlan)
-    ham = 2.0 * SIGMA_X + np.diag([0.0, 0.5]).astype(complex)
+    ham = HamiltonianModel(LABELS2, 2.0 * SIGMA_X + np.diag([0.0, 0.5]).astype(complex), [])
     grid = TimeGrid(0.0, 3.0, 0.2, sample_stride=10)
     starts = [basis_state(LABELS2, "0"), basis_state(LABELS2, "1")]
     rungs = set()
@@ -1185,7 +1213,7 @@ def test_the_plan_is_built_once_per_call_and_per_ladder(monkeypatch):
 
 
 def test_converge_many_shares_one_ladder():
-    ham = 1.1 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 1.1 * SIGMA_X, [])
     grid = TimeGrid(0.0, 2.0, 0.05, sample_stride=10)
     starts = [basis_state(LABELS2, "0"), basis_state(LABELS2, "1")]
     trajs, report = converge_many(ham, starts, grid, tolerance=1e-9)
@@ -1198,7 +1226,7 @@ def test_converge_many_shares_one_ladder():
 
 def test_converge_clamps_unstable_initial_steps():
     # base step far above the stability limit for this drive strength
-    ham = 100.0 * SIGMA_X
+    ham = HamiltonianModel(LABELS2, 100.0 * SIGMA_X, [])
     grid = TimeGrid(0.0, 1.0, 0.2, sample_stride=1)
     (traj,), report = converge_many(ham, [basis_state(LABELS2, "0")], grid, tolerance=1e-8)
     assert report.clamped

@@ -223,14 +223,16 @@ def test_fidelity_rejects_shape_mismatch():
     (lambda: tripod_dressed_states(0.3, 0.0, 0.0, 0.0, 0.0), ValueError, "nonzero"),
     (lambda: propagate_many("H", [basis_state(("0", "1"), "0")], TimeGrid(0.0, 1.0, 0.1)),
      TypeError, "unsupported Hamiltonian"),
+    (lambda: propagate_many(np.eye(2), [basis_state(("0", "1"), "0")], TimeGrid(0.0, 1.0, 0.1)),
+     TypeError, "unsupported Hamiltonian"),
     (lambda: two_qubit_phase(object(), 0.1), TypeError, "StirapSchedule"),
     (lambda: calibrate_interaction_shift(2.0, target_mixing=1e-12),
      ValueError, "lower bracket .* already exceeds"),
     (lambda: calibrate_interaction_shift(2.0, target_mixing=0.9, bracket=(1e-4, 1e-3)),
      ValueError, "no crossing"),
 ], ids=["state-2d", "operator-not-square", "operator-labels", "fidelity-not-square",
-        "model-static-shape", "dressed-no-drive", "propagate-str", "phase-schedule-type",
-        "calibrate-lower-bracket", "calibrate-no-crossing"])
+        "model-static-shape", "dressed-no-drive", "propagate-str", "propagate-matrix",
+        "phase-schedule-type", "calibrate-lower-bracket", "calibrate-no-crossing"])
 def test_each_refusal_raises_its_own_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
