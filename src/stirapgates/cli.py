@@ -515,8 +515,12 @@ def _gate_spec(cfg: ExperimentConfig) -> GateSpec:
 
 def _run_gate(cfg: ExperimentConfig) -> GateReport:
     spec = _gate_spec(cfg)
-    # a grid too fine for the ladder to start is the grid's fault, whichever gate runs
-    with _under("gate"), _under("grid", GridTooFineError, OverflowError):
+    # a first rung over the start cap is the fault of grid.base_step when it is
+    # set, else of the span: the controlled phase's follows from the sequence
+    # delay solved for its shift, the other gates' from their schedule
+    span = "system.interaction_shift" if cfg.gate.kind == "controlled_phase" else "schedule"
+    too_long = span if cfg.grid.base_step is None else "grid"
+    with _under("gate"), _under(too_long, GridTooFineError, OverflowError):
         if cfg.gate.kind == "phase":
             return run_phase_gate(spec, cfg.gate.target_phase)
         if cfg.gate.kind == "hadamard":

@@ -8,21 +8,23 @@ run of them is applied as a blocked prefix scan. A ``_Plan`` holds what no
 step changes, and is built once per ``propagate_many`` call and once per
 ``converge_many`` ladder: each block of levels that H couples runs on its
 own, with one amplitude per cell of levels that stay equal, and blocks
-with equal lumped models share one run. A rung builds only the idle
-factor's powers and the chunk buffers. Steps where every drive acting on a
-block is off and its static part is diagonal are idle and unsampled: each
-state is its stretch's first times a power of the factor. A step idle for
-every run, with every run's factor calm (no population grows), is quiet.
-Inside a stretch of quiet steps no population rises and every column norm
-moves one way, so maxima stand at its start and drift at one of its ends:
-a chunk computes only the stretch's last state, the other steps' states,
-its end and its samples, and reads maxima and drift at all of them but
-the samples. They still cover every step. The state is never
-renormalized; ``converge_many`` halves the step until successive terminal
-states agree. A level's phase, defined only while it is populated, is its
-raw angle less 2 pi times the whole turns counted along its defined samples,
-each step taken in (-pi, pi]. So a strided run's phases equal the dense
-run's unless a level turns by more than pi between kept samples.
+with equal lumped models share one run. A block that holds no amplitude,
+or whose lumped H is zero, cannot change and is not propagated. A rung
+builds only the idle factor's powers and the chunk buffers. A step is idle
+when every drive is off at its three nodes; a block whose static part is
+diagonal is unsampled there, and each of its states is its stretch's first
+times a power of the factor. An idle step with every run's factor calm (no
+population grows) is quiet. Inside a stretch of quiet steps no population
+rises and every column norm moves one way, so maxima stand at its start
+and drift at one of its ends: a chunk computes only the stretch's last
+state, the other steps' states, its end and its samples, and reads maxima
+and drift at all of them but the samples. They still cover every step.
+The state is never renormalized; ``converge_many`` halves the step until
+successive terminal states agree. A level's phase, defined only while it
+is populated, is its raw angle less 2 pi times the whole turns counted
+along its defined samples, each step taken in (-pi, pi]. So a strided
+run's phases equal the dense run's unless a level turns by more than pi
+between kept samples.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ def _rk4_start_step(model, grid: TimeGrid) -> float:
     if grid.n_steps > _MAX_START_STEPS:
         raise GridTooFineError(
             f"base_step {grid.base_step:.3e} asks for {grid.span / grid.base_step:.3e} steps "
-            f"over the span; the ladder starts at most {_MAX_START_STEPS} steps"
+            f"over the span of {grid.span:.3e}; the ladder starts at most {_MAX_START_STEPS} steps"
         )
     peaks = [env.t_on + env.tau for fld in model.fields for env in fld.envelopes]
     probes = np.concatenate((
@@ -421,8 +423,7 @@ class _SharedRun:
     cells, the batch columns it holds amplitude in, and their slice of the
     (cells, columns) start amplitudes ``start``. ``pick`` reads each level's
     cell from an array over cells (in place when each cell is one level).
-    When the static part is diagonal, ``diagonal`` is it and ``key`` the
-    drive columns its idle steps are read from; else both are None.
+    ``diagonal`` is the static part when it is diagonal, else None.
     """
 
     def __init__(self, model: HamiltonianModel, members: list, psi0: np.ndarray):
@@ -436,12 +437,8 @@ class _SharedRun:
         firsts = np.unique(cells, return_index=True)[1]
         self.start = np.concatenate([psi0[np.ix_(rows[firsts], cols)]
                                      for rows, _, cols, _ in members], axis=1)
-        self.diagonal = self.key = None
         static = model.static
-        if not (static - np.diag(np.diag(static))).any():
-            self.diagonal = np.diag(static)
-            # the coefficient columns whose matrix is nonzero on these cells
-            self.key = tuple(1 + np.flatnonzero(model.terms[1:].any(axis=1)))
+        self.diagonal = None if (static - np.diag(np.diag(static))).any() else np.diag(static)
 
 
 class _Plan:
@@ -450,26 +447,35 @@ class _Plan:
     Each block of levels (``_components``) is lumped on its start columns
     (``_lumped``). Blocks with equal lumped models, that is the same cells
     and bitwise-equal ``terms`` (each carries the model's sources in
-    order), share one ``_SharedRun`` of ``runs``. A block with no amplitude
-    in any column stays exactly zero, so it is left out, and so are the
-    columns it holds none in. ``chunk_steps`` is the most steps a chunk
-    holds, set by the largest lumped model.
+    order), share one ``_SharedRun`` of ``runs``. A block that cannot
+    change is left out: one with no amplitude in any column stays exactly
+    zero, and one whose lumped ``terms`` are all zero (a level with zero
+    energy and no coupling) keeps its start. The levels of the latter are
+    marked in ``held``, and ``held_norms`` sums their populations per
+    column. A run also leaves out the columns its blocks hold no amplitude
+    in. ``chunk_steps`` is the most steps a chunk holds, set by the largest
+    lumped model.
     """
 
     def __init__(self, model: HamiltonianModel, psi0: np.ndarray):
         self.model = model
         self.psi0 = psi0
         grouped: dict = {}
+        self.held = np.zeros(model.dim, dtype=bool)
         for rows in _components(model):
             cols = np.flatnonzero(np.any(psi0[rows] != 0.0, axis=0))
             if not cols.size:
                 continue
             sub, cells = _lumped(model, rows, psi0[np.ix_(rows, cols)])
+            if not sub.terms.any():
+                self.held[rows] = True
+                continue
             _, members = grouped.setdefault((cells.tobytes(), sub.terms.tobytes()), (sub, []))
             width = sum(taken.size for _, _, taken, _ in members)
             members.append((rows, cells, cols, slice(width, width + cols.size)))
         self.runs = [_SharedRun(sub, members, psi0) for sub, members in grouped.values()]
-        largest = max(shared.model.dim for shared in self.runs)
+        self.held_norms = np.sum(np.abs(psi0[self.held]) ** 2, axis=0)
+        largest = max((shared.model.dim for shared in self.runs), default=1)
         self.chunk_steps = min(_CHUNK_STEPS, _CHUNK_ENTRIES // largest**2)
 
 
@@ -507,15 +513,18 @@ def _run_fixed_step(plan: _Plan, grid: TimeGrid):
     """Samples, norm drift and maximum populations of the plan's batch on ``grid``.
 
     The shared runs go in lockstep through each chunk, whose coefficients,
-    evaluated once at every node, serve them all. A step is idle for a run
-    with a key when every coefficient in the key is zero at all its nodes,
-    found once per chunk and key, and quiet when it is idle for every run
-    and every run's idle factor is calm (``_calm``). A driven stretch
-    applies its transfer matrices by a blocked prefix scan; an idle stretch
-    is unsampled, and each of its rows that ``_chunk_rows`` asks for is its
-    first state times a power of the idle factor. Populations, maxima and
-    norms are read at the read rows only. A level's sample or maximum is
-    its cell's; a column's norm sums every level of every block it spans.
+    evaluated once at every node, serve them all. A step is idle when every
+    drive coefficient is zero at all its nodes, found once per chunk, and
+    quiet when it is idle and every run's idle factor is calm (``_calm``).
+    A run with a diagonal static part takes its idle and driven stretches
+    from that one mask; any other run is driven throughout. A driven
+    stretch applies its transfer matrices by a blocked prefix scan; an idle
+    stretch is unsampled, and each of its rows that ``_chunk_rows`` asks for
+    is its first state times a power of the idle factor. Populations, maxima
+    and norms are read at the read rows only. A level's sample or maximum is
+    its cell's; a column's norm sums every level of every block it spans,
+    the held levels as the plan's constant. A held level keeps its start in
+    every sample, and its maximum is its start population.
     """
     h = grid.step
     n = grid.n_steps
@@ -525,6 +534,7 @@ def _run_fixed_step(plan: _Plan, grid: TimeGrid):
 
     samples = np.zeros((sample_idx.size, dim, width), dtype=complex)
     samples[0] = plan.psi0
+    samples[:, plan.held] = plan.psi0[plan.held]
     drift = float(np.max(np.abs(np.sum(np.abs(plan.psi0) ** 2, axis=0) - 1.0)))
 
     # what depends on the step: each run's (chunk + 1, cells, columns) state
@@ -543,27 +553,21 @@ def _run_fixed_step(plan: _Plan, grid: TimeGrid):
         nodes = _rk4_nodes(grid.t_start, h, done, chunk)
         coeffs = plan.model.coefficients(nodes)
         lo, hi = np.searchsorted(sample_idx, (done, done + chunk), side="right")
-        masks = {}
-        for shared in plan.runs:
-            if shared.key not in masks:
-                masks[shared.key] = (
-                    np.zeros(chunk, dtype=bool) if shared.key is None
-                    else _rk4_whole_steps(~np.any(coeffs[:, shared.key] != 0.0, axis=1)))
-        quiet = (np.logical_and.reduce(list(masks.values())) if calm
-                 else np.zeros(chunk, dtype=bool))
+        idle = _rk4_whole_steps(~np.any(coeffs[:, 1:] != 0.0, axis=1))
+        quiet = idle if calm else np.zeros(chunk, dtype=bool)
         read, computed = _chunk_rows(quiet, sample_idx[lo:hi] - done)
         # a stretch (a, b) of steps a..b-1 with the rows it computes when it is
-        # idle, counted from row a + 1, and None when it is driven
-        runs = {}
-        for key, idle in masks.items():
-            edges = [0, *((idle[1:] != idle[:-1]).nonzero()[0] + 1).tolist(), chunk]
-            runs[key] = [(a, b, computed[a + 1:b + 1].nonzero()[0] if idle[a] else None)
-                         for a, b in zip(edges, edges[1:])]
+        # idle, counted from row a + 1, and None when it is driven; a run whose
+        # static part is not diagonal takes the whole chunk as one driven stretch
+        edges = [0, *((idle[1:] != idle[:-1]).nonzero()[0] + 1).tolist(), chunk]
+        stretches = [(a, b, computed[a + 1:b + 1].nonzero()[0] if idle[a] else None)
+                     for a, b in zip(edges, edges[1:])]
         # a basic slice when every row is read, so a driven chunk copies nothing
         at = slice(1, chunk + 1) if read.size == chunk else read
-        norms = np.zeros((read.size, width))
+        # the held levels' populations start every column norm
+        norms = np.full((read.size, width), plan.held_norms)
         for shared, out, powers, max_pops in lanes:
-            for a, b, fill in runs[shared.key]:
+            for a, b, fill in [(0, chunk, None)] if shared.diagonal is None else stretches:
                 if fill is None:
                     span = _rk4_node_span(a, b)
                     _scan(_rk4_transfer(shared.model.sample(nodes[span], coeffs[span]), h),
@@ -590,7 +594,7 @@ def _run_fixed_step(plan: _Plan, grid: TimeGrid):
         drift = float(np.maximum(drift, np.max(np.abs(norms - 1.0))))
         done += chunk
 
-    max_pops = np.zeros((dim, width))
+    max_pops = np.abs(plan.psi0) ** 2
     for shared, _, _, reached in lanes:
         for rows, _, cols, slot in shared.members:
             max_pops[rows[:, None], cols] = reached[shared.pick][:, slot]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -370,6 +371,25 @@ def test_a_requested_step_over_the_ladder_start_cap_is_a_grid_error(tmp_path, ca
     assert time.perf_counter() - start < 1.0
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: grid: base_step 1.000e-07 asks for ")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("config, override, path", [
+    ("controlled_phase_gate", "system.interaction_shift=1e-4", "system.interaction_shift"),
+    ("phase_gate", "schedule.sequence_delay=3e4", "schedule"),
+])
+def test_a_span_too_long_for_the_default_step_names_what_sets_it(tmp_path, capsys,
+                                                                 config, override, path):
+    """With grid.base_step unset, a first rung over 2^20 steps is the span's fault:
+    the controlled phase's span follows from the delay solved for its shift
+    (about 2 pi / 1e-4 here), the phase gate's from its schedule."""
+    out = tmp_path / "x"
+    rc = main(["gate", "--config", str(REPO / "configs" / f"{config}.yaml"), "--out", str(out),
+               "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: base_step 1.000e-02 asks for ")
+    assert re.search(r"over the span of \d\.\d{3}e\+04;", err)
     assert not any(out.iterdir())
 
 

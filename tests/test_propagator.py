@@ -36,9 +36,8 @@ from stirapgates import (
     sequence_fields,
     time_reversed,
 )
+from stirapgates import propagator
 from stirapgates.propagator import (
-    _CHUNK_ENTRIES,
-    _CHUNK_STEPS,
     _MAX_START_STEPS,
     _SCAN_STEPS,
     _SMALL_DIM,
@@ -489,7 +488,6 @@ def test_idle_steps_mark_the_hold_and_blocks_read_the_static_diagonal():
     (shared,) = _Plan(model, start).runs
     assert np.array_equal(np.diag(shared.model.static), [0.0, -0.3, 0.0])
     assert np.array_equal(shared.diagonal, [0.0, -0.3, 0.0])
-    assert shared.key == (1, 2, 3, 4)
     z = -1j * h * np.array([0.0, -0.3, 0.0])
     factor = sum(z**k / math.factorial(k) for k in range(5))
     expected = factor ** np.arange(1, steps + 1)[:, None]
@@ -499,7 +497,7 @@ def test_idle_steps_mark_the_hold_and_blocks_read_the_static_diagonal():
     constant = HamiltonianModel(LAMBDA_LABELS, lambda_hamiltonian(1.0, 1.0).matrix, [])
     assert _idle_steps(constant.coefficients(nodes), ()).all()
     (shared,) = _Plan(constant, start).runs
-    assert shared.key is None and shared.diagonal is None
+    assert shared.diagonal is None
 
 
 def _idle_mask(model, grid: TimeGrid) -> np.ndarray:
@@ -912,27 +910,69 @@ def test_idle_steps_are_not_sampled(monkeypatch):
     driven = set(np.flatnonzero(_driven_nodes(idle)).tolist())
     assert set(_half_steps([times for _, times in calls], grid).tolist()) == driven
     assert set(_half_steps(counting.evaluated, grid).tolist()) == set(range(2 * grid.n_steps + 1))
-    # 01 and 11 start a 3-level block and a 9-level block lumped to 6 cells,
-    # which read the same two fields, so each 910-step chunk computes one
-    # idle mask for both
-    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 6**2)
+    # 01 and 11 start a 3-level block and a 9-level block lumped to 6 cells;
+    # each 910-step chunk computes one idle mask, which serves both
+    chunk = _Plan(model, np.stack([st.amplitudes for st in starts], axis=1)).chunk_steps
     assert len(masks) == -(-grid.n_steps // chunk)
     assert sum((nodes - 1) // 2 for nodes in masks) == grid.n_steps
 
 
-def test_each_block_samples_only_where_its_own_field_is_on(monkeypatch):
-    """A block's idle steps are where the fields acting on it are off, whatever the others do."""
+def test_every_diagonal_block_samples_where_any_field_is_on(monkeypatch):
+    """One idle mask serves every block: a block is driven wherever some field is
+    on, also where only the other block's field is."""
     model, starts, grid = _two_field_blocks()
+    plain = propagate_many(model, starts, grid, check_quality=False)
     calls = _record_samples(monkeypatch)
-    propagate_many(model, starts, grid, check_quality=False)
+    counted = propagate_many(model, starts, grid, check_quality=False)
+    for a, b in zip(counted, plain):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.max_populations, b.max_populations)
+        assert a.norm_drift == b.norm_drift
     nodes = grid.t_start + 0.5 * grid.step * np.arange(2 * grid.n_steps + 1)
+    free = np.all([fld.amplitude(nodes) == 0.0 for fld in model.fields], axis=0)
+    driven = set(np.flatnonzero(_driven_nodes(free[0:-1:2] & free[1::2] & free[2::2])).tolist())
     assert len(_components(model)) == 2
-    for rows, fld in zip(_components(model), model.fields):
+    for rows in _components(model):
         labels = tuple(model.basis_labels[k] for k in rows)
-        free = fld.amplitude(nodes) == 0.0
-        driven = _driven_nodes(free[0:-1:2] & free[1::2] & free[2::2])
         sampled = [times for block, times in calls if block == labels]
-        assert set(_half_steps(sampled, grid).tolist()) == set(np.flatnonzero(driven).tolist())
+        assert set(_half_steps(sampled, grid).tolist()) == driven
+
+
+def test_a_level_that_no_term_touches_is_never_stepped(monkeypatch):
+    """The gate's pair from its four qubit starts: 00 has zero energy and no
+    coupling, so a ladder leaves it out, and its column holds its start."""
+    model, _, grid = _paper_pair_case()
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("00", "01", "10", "11")]
+    block = np.stack([st.amplitudes for st in starts], axis=1)
+    plan = _Plan(model, block)
+    assert [shared.model.dim for shared in plan.runs] == [3, 6]
+    assert plan.held.tolist() == [lv == "00" for lv in TWO_ATOM_LABELS]
+
+    sizes = []
+
+    def recording(name, size):
+        original = getattr(propagator, name)
+
+        def wrapped(*args, **kwargs):
+            sizes.append((name, size(*args)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, name, wrapped)
+
+    recording("_rk4_transfer", lambda stack, h: stack.shape[1])
+    recording("_scan", lambda mats, out: mats.shape[1])
+    recording("_rk4_idle_powers", lambda diagonal, h, steps: diagonal.size)
+    calls = _record_samples(monkeypatch)
+    trajs, report = converge_many(model, starts, grid, tolerance=1e-6)
+    assert len(report.steps) > 1
+    sizes += [("sample", len(labels)) for labels, _ in calls]
+    assert {name for name, _ in sizes} == {"_rk4_transfer", "_scan", "_rk4_idle_powers", "sample"}
+    assert all(size > 1 for _, size in sizes)
+
+    rest = trajs[0]
+    assert np.array_equal(rest.states, np.broadcast_to(block[:, 0], rest.states.shape))
+    assert np.array_equal(rest.max_populations, np.abs(block[:, 0]) ** 2)
+    assert np.max(rest.max_populations) == rest.max_population("00") == 1.0
 
 
 def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
@@ -946,10 +986,10 @@ def test_drive_coefficients_are_evaluated_once_per_node(monkeypatch):
     assert idle.any() and not idle.all()
     # the largest block of the driven starts has 9 levels in 6 cells, so
     # chunks hold 910 steps and the grid crosses many chunk edges
-    chunk = min(_CHUNK_STEPS, _CHUNK_ENTRIES // 6**2)
+    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11", "22")]
+    chunk = _Plan(model, np.stack([st.amplitudes for st in starts], axis=1)).chunk_steps
     assert chunk == 910 and grid.n_steps > 10 * chunk
 
-    starts = [basis_state(TWO_ATOM_LABELS, lv) for lv in ("01", "11", "22")]
     counting = _CoefficientCountingModel(model)
     counted = propagate_many(counting, starts, grid, check_quality=False)
     expected = np.ones(2 * grid.n_steps + 1, dtype=int)
